@@ -7,7 +7,7 @@ trains by gradient descent, and is exactly the Euler discretization of a
 polynomial ODE system that can be extracted and inspected.
 """
 
-from .basis import MonomialBasis, build_basis, eval_monomial_jacobian, eval_monomials
+from .basis import MonomialBasis, build_basis
 from .data import (Dataset, gen_friedman1, gen_noisy_linear, load_csv,
                    load_table, metric_mse, metric_r2, save_csv, split_quantile,
                    split_random)
@@ -17,17 +17,16 @@ from .model import (Scaler, TmpnnModel, TrainConfig, TrainReport, fit, forward,
                     loss_and_gradient, predict)
 from .odeview import (OdeSystem, extract_ode, integrate_reference, raise_order,
                       rebuild_map, render_ode, rescale_time)
-from .optim import AdamaxState, adamax_step, clip_gradient
-from .taylor_map import TaylorMapWeights, apply, apply_with_grads, identity_weights
+from .optim import AdamaxState, adamax_step
+from .taylor_map import TaylorMapWeights, identity_weights
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MonomialBasis", "build_basis", "eval_monomials", "eval_monomial_jacobian",
-    "TaylorMapWeights", "identity_weights", "apply", "apply_with_grads",
+    "MonomialBasis", "build_basis", "TaylorMapWeights", "identity_weights",
     "TmpnnModel", "TrainConfig", "TrainReport", "Scaler",
     "forward", "predict", "loss_and_gradient", "fit",
-    "AdamaxState", "adamax_step", "clip_gradient",
+    "AdamaxState", "adamax_step",
     "OdeSystem", "extract_ode", "rebuild_map", "raise_order",
     "integrate_reference", "render_ode", "rescale_time",
     "Dataset", "gen_friedman1", "gen_noisy_linear", "load_csv", "load_table",

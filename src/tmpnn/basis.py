@@ -3,8 +3,9 @@
 A state vector z of dimension d has Kronecker powers z, z^[2], ..., z^[k]
 whose entries repeat: z1*z2 and z2*z1 are the same number.  This module
 enumerates each distinct monomial of total degree <= k exactly once, in a
-fixed deterministic order, and evaluates monomial vectors and their
-Jacobians.  Everything downstream (weight layout, serialization, the ODE
+fixed deterministic order, evaluates the monomials at a batch of states,
+and tabulates the sparse derivatives that backpropagation multiplies
+through.  Everything downstream (weight layout, serialization, the ODE
 view) depends on this ordering, so it is part of the package contract:
 
     degree ascending; within a degree, descending lexicographic order on
@@ -37,15 +38,11 @@ class MonomialBasis:
             exponents[i] == exponents[parent[i]] + e_{parent_var[i]}.
             Lets monomials be built degree by degree from one product each.
         parent_var: (size,) int array, see parent.  0 for the constant.
-        decrement: (size, dim) int array; decrement[i, j] is the index of
-            the monomial with exponents[i] - e_j when exponents[i, j] > 0,
-            else 0 (the entry is only ever used multiplied by a zero
-            exponent).  Drives Jacobian evaluation.
-        jac_rows, jac_parents, jac_exps: per-variable sparse view of the
-            same derivative structure; jac_rows[j] lists the monomials
-            that contain variable j, jac_parents[j] their lowered-exponent
-            indices, jac_exps[j] the exponent factors as floats.  Lets
-            batched backpropagation skip the zero entries.
+        jac_rows, jac_parents, jac_exps: sparse derivative tables per
+            variable j: the monomials containing z_j, the same monomials
+            divided by z_j, and the exponents of z_j as floats, so that
+            d(monomial jac_rows[j])/dz_j = jac_exps[j] * monomial
+            jac_parents[j].  Backpropagation skips the zero entries.
     """
 
     dim: int
@@ -54,7 +51,6 @@ class MonomialBasis:
     degrees: np.ndarray
     parent: np.ndarray
     parent_var: np.ndarray
-    decrement: np.ndarray
     jac_rows: tuple[np.ndarray, ...]
     jac_parents: tuple[np.ndarray, ...]
     jac_exps: tuple[np.ndarray, ...]
@@ -107,23 +103,18 @@ def build_basis(dim: int, order: int) -> MonomialBasis:
             exponents[i, var] += 1
     degrees = exponents.sum(axis=1)
 
-    index_of = {tuple(row): i for i, row in enumerate(exponents.tolist())}
+    index_of = {combo: i for i, combo in enumerate(combos)}
 
-    parent = np.zeros(size, dtype=np.int64)
-    parent_var = np.zeros(size, dtype=np.int64)
-    decrement = np.zeros((size, dim), dtype=np.int64)
-    for i in range(1, size):
-        row = exponents[i]
-        first = int(np.nonzero(row)[0][0])
-        reduced = row.copy()
-        reduced[first] -= 1
-        parent[i] = index_of[tuple(reduced.tolist())]
-        parent_var[i] = first
-        for j in range(dim):
-            if row[j] > 0:
-                reduced = row.copy()
-                reduced[j] -= 1
-                decrement[i, j] = index_of[tuple(reduced.tolist())]
+    def lowered(combo: tuple[int, ...], var: int) -> int:
+        """Index of the monomial divided by z_var (a combo lists z_var
+        once per power)."""
+        k = combo.index(var)
+        return index_of[combo[:k] + combo[k + 1:]]
+
+    # combos are ascending, so combo[0] is the first variable present
+    parent = np.array([0] + [lowered(c, c[0]) for c in combos[1:]],
+                      dtype=np.int64)
+    parent_var = np.array([0] + [c[0] for c in combos[1:]], dtype=np.int64)
 
     jac_rows = []
     jac_parents = []
@@ -131,25 +122,17 @@ def build_basis(dim: int, order: int) -> MonomialBasis:
     for j in range(dim):
         rows = np.nonzero(exponents[:, j])[0]
         jac_rows.append(rows)
-        jac_parents.append(decrement[rows, j])
+        jac_parents.append(np.array([lowered(combos[i], j) for i in rows],
+                                    dtype=np.int64))
         jac_exps.append(exponents[rows, j].astype(np.float64))
 
-    for arr in (exponents, degrees, parent, parent_var, decrement,
+    for arr in (exponents, degrees, parent, parent_var,
                 *jac_rows, *jac_parents, *jac_exps):
         arr.setflags(write=False)
     return MonomialBasis(dim=int(dim), order=int(order), exponents=exponents,
                          degrees=degrees, parent=parent, parent_var=parent_var,
-                         decrement=decrement, jac_rows=tuple(jac_rows),
+                         jac_rows=tuple(jac_rows),
                          jac_parents=tuple(jac_parents), jac_exps=tuple(jac_exps))
-
-
-def _check_state(basis: MonomialBasis, z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (basis.dim,):
-        raise ValueError(f"state has shape {z.shape}, expected ({basis.dim},)")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("state vector contains non-finite entries")
-    return z
 
 
 def eval_monomials_batch(basis: MonomialBasis, Z: np.ndarray) -> np.ndarray:
@@ -157,8 +140,9 @@ def eval_monomials_batch(basis: MonomialBasis, Z: np.ndarray) -> np.ndarray:
 
     Args:
         basis: the monomial basis.
-        Z: (N, dim) array of state vectors.  Finiteness is not checked
-            here; batched callers validate states once per layer.
+        Z: (N, dim) array of state vectors.  Nothing is checked here:
+            the model validates its inputs where they enter, and overflow
+            between layers surfaces as a DivergenceError there.
 
     Returns:
         (N, size) array; column i holds monomial i at every row.
@@ -170,45 +154,3 @@ def eval_monomials_batch(basis: MonomialBasis, Z: np.ndarray) -> np.ndarray:
         block = basis.degree_slice(q)
         phi[:, block] = phi[:, basis.parent[block]] * Z[:, basis.parent_var[block]]
     return phi
-
-
-def eval_monomials(basis: MonomialBasis, z) -> np.ndarray:
-    """Evaluate every basis monomial at a single state vector.
-
-    Args:
-        basis: the monomial basis.
-        z: state vector of length basis.dim with finite entries.
-
-    Returns:
-        Vector of length basis.size; entry i is the product over j of
-        z[j] ** exponents[i, j].  Entry 0 is always 1.
-
-    Raises:
-        ValueError: on shape mismatch or non-finite entries.
-
-    Example:
-        >>> eval_monomials(build_basis(2, 2), [2.0, 3.0])
-        array([1., 2., 3., 4., 6., 9.])
-    """
-    z = _check_state(basis, z)
-    return eval_monomials_batch(basis, z[None, :])[0]
-
-
-def eval_monomial_jacobian(basis: MonomialBasis, z) -> np.ndarray:
-    """Partial derivatives of every monomial with respect to every variable.
-
-    Args:
-        basis: the monomial basis.
-        z: state vector of length basis.dim with finite entries.
-
-    Returns:
-        (size, dim) array J with J[i, j] = d(monomial_i)/d(z_j) at z.
-        The constant monomial's row is all zeros.
-
-    Raises:
-        ValueError: on shape mismatch or non-finite entries.
-    """
-    z = _check_state(basis, z)
-    phi = eval_monomials(basis, z)
-    # d/dz_j of prod z^e = e_j * (monomial with e_j lowered by one)
-    return basis.exponents * phi[basis.decrement]

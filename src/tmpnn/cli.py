@@ -31,17 +31,18 @@ def _parse_targets(spec: str):
         return [name.strip() for name in spec.split(",") if name.strip()]
 
 
-def _parse_quantile_spec(spec: str) -> tuple[str, float]:
-    column, _, q = spec.rpartition(":")
-    if not column:
-        raise ValueError(f"--split-quantile expects column:quantile, got {spec!r}")
-    return column, float(q)
-
-
 def _parse_batch(spec: str):
     if spec == "full":
         return "full"
     return int(spec)
+
+
+def _generate(generator: str, args) -> datamod.Dataset:
+    if generator == "friedman1":
+        return datamod.gen_friedman1(args.samples, n_unimportant=args.unimportant,
+                                     noise_std=args.noise, seed=args.seed)
+    return datamod.gen_noisy_linear(args.samples, x_range=tuple(args.range),
+                                    seed=args.seed)
 
 
 def _load_training_data(args) -> datamod.Dataset:
@@ -51,28 +52,30 @@ def _load_training_data(args) -> datamod.Dataset:
         if args.targets is None:
             raise ValueError("--targets is required with --data")
         return datamod.load_csv(args.data, _parse_targets(args.targets))
-    if args.gen == "friedman1":
-        return datamod.gen_friedman1(args.samples, n_unimportant=args.unimportant,
-                                     noise_std=args.noise, seed=args.seed)
-    if args.gen == "linear":
-        return datamod.gen_noisy_linear(args.samples, x_range=tuple(args.range),
-                                        seed=args.seed)
+    if args.gen is not None:
+        return _generate(args.gen, args)
     raise ValueError("one of --data or --gen is required")
 
 
-def cmd_train(args) -> int:
-    dataset = _load_training_data(args)
+def _split(args, dataset: datamod.Dataset):
+    """(train, test) per --split-quantile or --test-fraction; test is None
+    when neither is given."""
     if args.test_fraction is not None and args.split_quantile is not None:
         raise ValueError("--test-fraction and --split-quantile are mutually "
                          "exclusive")
-    test = None
     if args.split_quantile is not None:
-        column, q = _parse_quantile_spec(args.split_quantile)
-        train, test = datamod.split_quantile(dataset, column, q)
-    elif args.test_fraction is not None:
-        train, test = datamod.split_random(dataset, args.test_fraction, args.seed)
-    else:
-        train = dataset
+        column, _, q = args.split_quantile.rpartition(":")
+        if not column:
+            raise ValueError(f"--split-quantile expects column:quantile, "
+                             f"got {args.split_quantile!r}")
+        return datamod.split_quantile(dataset, column, float(q))
+    if args.test_fraction is not None:
+        return datamod.split_random(dataset, args.test_fraction, args.seed)
+    return dataset, None
+
+
+def cmd_train(args) -> int:
+    train, test = _split(args, _load_training_data(args))
 
     model = modelmod.TmpnnModel.create(
         train.n_features, train.n_targets, n_latent=args.latent,
@@ -139,14 +142,9 @@ def cmd_evaluate(args) -> int:
     if dataset.n_targets != model.n_targets:
         raise ValueError(f"data has {dataset.n_targets} target columns but "
                          f"the model predicts {model.n_targets}")
-    if args.test_fraction is not None and args.split_quantile is not None:
-        raise ValueError("--test-fraction and --split-quantile are mutually "
-                         "exclusive")
-    if args.split_quantile is not None:
-        column, q = _parse_quantile_spec(args.split_quantile)
-        _, dataset = datamod.split_quantile(dataset, column, q)
-    elif args.test_fraction is not None:
-        _, dataset = datamod.split_random(dataset, args.test_fraction, args.seed)
+    _, test = _split(args, dataset)
+    if test is not None:
+        dataset = test
 
     pred = modelmod.predict(model, dataset.X)
     print(f"rows {dataset.n_samples}")
@@ -159,12 +157,29 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    model, extras = iomod.load_model(args.model)
-    names, X = datamod.load_table(args.data)
+def _feature_matrix(path, model, feature_names) -> np.ndarray:
+    """The feature CSV's columns in the model's feature order: matched by
+    header name when the file has a header and the model records names."""
+    names, X = datamod.load_table(path)
     if X.shape[1] != model.n_features:
         raise ValueError(f"data has {X.shape[1]} columns but the model "
                          f"expects {model.n_features} features")
+    if (not feature_names or names == feature_names
+            or names == datamod.default_column_names(len(names))):
+        return X
+    missing = [n for n in feature_names if n not in names]
+    unexpected = [n for n in names if n not in feature_names]
+    if missing or unexpected:
+        raise ValueError(f"{path}: columns do not match the model's features "
+                         f"({', '.join(feature_names)}): missing "
+                         f"{', '.join(missing) or 'none'}; unexpected "
+                         f"{', '.join(unexpected) or 'none'}")
+    return X[:, [names.index(n) for n in feature_names]]
+
+
+def cmd_predict(args) -> int:
+    model, extras = iomod.load_model(args.model)
+    X = _feature_matrix(args.data, model, extras.get("feature_names"))
     pred = modelmod.predict(model, X)
     target_names = (extras.get("target_names")
                     or [f"y{j + 1}" for j in range(model.n_targets)])
@@ -216,14 +231,7 @@ def cmd_raise_order(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    if args.generator == "friedman1":
-        dataset = datamod.gen_friedman1(args.samples,
-                                        n_unimportant=args.unimportant,
-                                        noise_std=args.noise, seed=args.seed)
-    else:
-        dataset = datamod.gen_noisy_linear(args.samples,
-                                           x_range=tuple(args.range),
-                                           seed=args.seed)
+    dataset = _generate(args.generator, args)
     datamod.save_csv(dataset, args.out)
     print(f"{dataset.n_samples} rows written to {args.out}")
     return 0

@@ -113,6 +113,11 @@ def _split_line(line: str, delim: str | None) -> list[str]:
     return [cell.strip() for cell in line.split(delim)]
 
 
+def default_column_names(width: int) -> list[str]:
+    """The names load_table gives the columns of a file without a header."""
+    return [f"c{i + 1}" for i in range(width)]
+
+
 def load_table(path) -> tuple[list[str], np.ndarray]:
     """Read a numeric table with auto-detected delimiter and optional header.
 
@@ -124,8 +129,9 @@ def load_table(path) -> tuple[list[str], np.ndarray]:
         (names, values) with values of shape (rows, columns).
 
     Raises:
-        ValueError: empty table, ragged row, missing value, or
-            non-numeric cell (with row and column position).
+        ValueError: empty table, ragged row, missing value, non-numeric
+            cell, or a nan or infinite value (with row and column
+            position).
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in (raw.strip() for raw in fh) if ln]
@@ -143,7 +149,7 @@ def load_table(path) -> tuple[list[str], np.ndarray]:
             return False
 
     if numeric(first):
-        names = [f"c{i + 1}" for i in range(len(first))]
+        names = default_column_names(len(first))
         body = lines
     else:
         names = first
@@ -167,6 +173,11 @@ def load_table(path) -> tuple[list[str], np.ndarray]:
             except ValueError:
                 raise ValueError(f"{path}: non-numeric cell {cell!r} at "
                                  f"row {r + 1}, column {names[c]!r}") from None
+    # float() accepts "nan" and "inf"
+    if not np.isfinite(rows).all():
+        r, c = np.argwhere(~np.isfinite(rows))[0]
+        raise ValueError(f"{path}: non-finite value {rows[r, c]} at "
+                         f"row {r + 1}, column {names[c]!r}")
     return names, rows
 
 

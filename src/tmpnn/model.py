@@ -24,7 +24,7 @@ import numpy as np
 from .basis import MonomialBasis, build_basis, eval_monomials_batch
 from .data import Dataset, metric_mse
 from .errors import DivergenceError, TrainingDivergedError
-from .optim import AdamaxState, adamax_step, clip_gradient
+from .optim import AdamaxState, adamax_step
 from .taylor_map import TaylorMapWeights, identity_weights
 
 
@@ -135,11 +135,19 @@ class TmpnnModel:
                    reg_l1=reg_l1, reg_l2=reg_l2, standardize=standardize)
 
     def initial_state(self, X: np.ndarray) -> np.ndarray:
-        """Extended start states: scaled features then init_state slots."""
+        """Extended start states: scaled features then init_state slots.
+
+        A wrong width or a non-finite feature (named by row and column) is
+        a ValueError here, before any map application.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} feature columns, "
                              f"got {X.shape[1]}")
+        if not np.isfinite(X).all():
+            row, col = np.argwhere(~np.isfinite(X))[0]
+            raise ValueError(f"feature value {X[row, col]} at row {row}, "
+                             f"column {col} is not finite")
         if self.scaler is not None:
             X = self.scaler.transform(X)
         z0 = np.empty((X.shape[0], self.dim))
@@ -150,18 +158,14 @@ class TmpnnModel:
 
 @dataclass
 class TrainConfig:
-    """Knobs for fit().  batch_size may be the string "full"."""
+    """Knobs for fit(), which minimizes MSE with AdamaxState's moment
+    constants.  batch_size may be the string "full"."""
 
     epochs: int = 1000
     batch_size: int | str = 256
     learning_rate: float = 0.002
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    loss: str = "mse"
     shuffle_seed: int = 0
     early_stop: tuple[int, float] | None = None
-    grad_clip: float | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -171,8 +175,6 @@ class TrainConfig:
                 raise ValueError("batch_size must be a positive int or 'full'")
         elif self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.loss != "mse":
-            raise ValueError("only the mse loss is supported")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
 
@@ -239,6 +241,7 @@ def forward(model: TmpnnModel, x) -> tuple[np.ndarray, list[np.ndarray]]:
         (scaled) input state.
 
     Raises:
+        ValueError: on a wrong length or a non-finite feature.
         DivergenceError: if the trajectory overflows; carries the step.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -251,7 +254,11 @@ def forward(model: TmpnnModel, x) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def predict(model: TmpnnModel, X) -> np.ndarray:
-    """Predict an (N, n_targets) matrix for an (N, n_features) input."""
+    """Predict an (N, n_targets) matrix for an (N, n_features) input.
+
+    Raises ValueError on bad input (see TmpnnModel.initial_state), and
+    DivergenceError, carrying step, row and state, when a row overflows.
+    """
     Z0 = model.initial_state(X)
     states, _ = _forward_states(model, Z0)
     n, m = model.n_features, model.n_targets
@@ -367,8 +374,7 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
     rng = np.random.default_rng(config.shuffle_seed)
     opt = AdamaxState.init(
         [model.map.delta] + ([model.init_state] if model.init_trainable else []),
-        alpha=config.learning_rate, beta1=config.beta1, beta2=config.beta2,
-        epsilon=config.epsilon)
+        alpha=config.learning_rate)
 
     report = TrainReport(valid_losses=[] if valid is not None else None)
     best_valid = np.inf
@@ -400,8 +406,6 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
             if model.init_trainable:
                 params.append(model.init_state)
                 grads.append(d_init)
-            if config.grad_clip is not None:
-                grads = clip_gradient(grads, config.grad_clip)
             params = adamax_step(opt, params, grads, lr=lr)
             model.map.delta = params[0]
             if model.init_trainable:

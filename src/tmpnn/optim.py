@@ -1,4 +1,4 @@
-"""Adamax updates over lists of parameter arrays, plus gradient clipping."""
+"""Adamax updates over lists of parameter arrays."""
 
 from __future__ import annotations
 
@@ -13,7 +13,8 @@ class AdamaxState:
 
     first_moment is the exponential moving average of gradients and
     inf_norm the exponentially weighted infinity norm.  Defaults follow the
-    optimizer's published constants.
+    optimizer's published constants; this class is the one place they are
+    set.
     """
 
     alpha: float = 0.002
@@ -25,12 +26,10 @@ class AdamaxState:
     inf_norm: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
-    def init(cls, params: list[np.ndarray], *, alpha: float = 0.002,
-             beta1: float = 0.9, beta2: float = 0.999,
-             epsilon: float = 1e-8) -> "AdamaxState":
+    def init(cls, params: list[np.ndarray], *,
+             alpha: float = 0.002) -> "AdamaxState":
         """Fresh zeroed state shaped like params."""
-        return cls(alpha=alpha, beta1=beta1, beta2=beta2, epsilon=epsilon,
-                   step_count=0,
+        return cls(alpha=alpha,
                    first_moment=[np.zeros_like(p) for p in params],
                    inf_norm=[np.zeros_like(p) for p in params])
 
@@ -76,18 +75,3 @@ def adamax_step(state: AdamaxState, params: list[np.ndarray],
         state.inf_norm[i] = u
         out.append(p - (alpha / correction) * m / (u + state.epsilon))
     return out
-
-
-def clip_gradient(gradient: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
-    """Scale the whole gradient down to a global L2 norm of max_norm.
-
-    Direction is preserved; gradients already within the bound are
-    returned unchanged.
-    """
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in gradient))
-    if total <= max_norm:
-        return gradient
-    scale = max_norm / total
-    return [g * scale for g in gradient]

@@ -1,4 +1,4 @@
-"""The shared-weight polynomial map and its exact derivatives.
+"""Coefficient storage of the shared-weight polynomial map.
 
 One map application sends a state z to W0 + W1 z + W2 z^[2] + ... + Wk z^[k],
 with the Kronecker powers represented in the reduced monomial basis.  All
@@ -11,7 +11,8 @@ Internally the matrix is stored as its deviation from the identity map
 identity map is then exactly zeros, and the conversions to and from the
 equivalent ODE coefficient matrix (see odeview) are single multiplications,
 which keeps those round trips bit-exact.  The literal matrix is available
-as the ``W`` property.
+as the ``W`` property.  The map is applied, always to a batch of states,
+by the model's forward pass.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import MonomialBasis, build_basis, eval_monomials, eval_monomial_jacobian
-from .errors import DivergenceError
+from .basis import MonomialBasis, build_basis
 
 
 def _degree1_indices(basis: MonomialBasis) -> np.ndarray:
@@ -92,57 +92,3 @@ def identity_weights(dim: int, order: int) -> TaylorMapWeights:
     """
     basis = build_basis(dim, order)
     return TaylorMapWeights(basis=basis, delta=np.zeros((basis.size, dim)))
-
-
-def apply(weights: TaylorMapWeights, z) -> np.ndarray:
-    """Apply the map once to a single state vector.
-
-    Args:
-        weights: the map coefficients.
-        z: state vector of length weights.dim, finite entries.
-
-    Returns:
-        The next state, W^T phi(z), of length weights.dim.
-
-    Raises:
-        ValueError: on bad shape or non-finite input.
-        DivergenceError: if the output overflows to non-finite values; the
-            offending input is attached to the error.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    phi = eval_monomials(weights.basis, z)
-    # overflow surfaces as a structured DivergenceError, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = z + phi @ weights.delta
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError("map application produced non-finite values",
-                              state=z)
-    return out
-
-
-def apply_with_grads(weights: TaylorMapWeights, z):
-    """Apply the map and return both Jacobians.
-
-    Args:
-        weights: the map coefficients.
-        z: state vector of length weights.dim.
-
-    Returns:
-        (output, d_out_d_z, phi) where output is apply(weights, z),
-        d_out_d_z is the (dim, dim) Jacobian with entry (i, j) equal to
-        d output_i / d z_j, and phi is the monomial vector at z: the
-        sensitivity of output j to the coefficient in row i, column j is
-        phi[i], and coefficients in other columns do not affect output j.
-
-    Raises:
-        ValueError, DivergenceError: as apply.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    phi = eval_monomials(weights.basis, z)
-    out = z + phi @ weights.delta
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError("map application produced non-finite values",
-                              state=z)
-    jac = eval_monomial_jacobian(weights.basis, z)
-    d_out_d_z = np.eye(weights.dim) + weights.delta.T @ jac
-    return out, d_out_d_z, phi

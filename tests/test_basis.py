@@ -1,4 +1,5 @@
-"""Monomial basis enumeration and evaluation against brute-force oracles."""
+"""Monomial basis enumeration, batch evaluation and the sparse derivative
+tables, against brute-force oracles."""
 
 import itertools
 from math import comb
@@ -6,7 +7,24 @@ from math import comb
 import numpy as np
 import pytest
 
-from tmpnn import build_basis, eval_monomial_jacobian, eval_monomials
+import tmpnn.model
+from tmpnn import TmpnnModel, build_basis, predict
+from tmpnn.basis import eval_monomials_batch
+
+
+def eval_monomials(basis, z):
+    """The monomial vector at one state, as a 1-row batch."""
+    return eval_monomials_batch(basis, np.asarray(z, dtype=float)[None, :])[0]
+
+
+def monomial_jacobian(basis, z):
+    """(size, dim) derivatives of the monomials at z, assembled from the
+    sparse tables backpropagation multiplies: exps * phi[parents]."""
+    phi = eval_monomials(basis, z)
+    jac = np.zeros((basis.size, basis.dim))
+    for j in range(basis.dim):
+        jac[basis.jac_rows[j], j] = basis.jac_exps[j] * phi[basis.jac_parents[j]]
+    return jac
 
 
 def brute_force_exponents(dim, order):
@@ -126,21 +144,22 @@ def test_eval_agrees_with_literal_kronecker_powers():
                                                rtol=1e-12)
 
 
-def test_eval_rejects_bad_input():
-    basis = build_basis(2, 2)
-    with pytest.raises(ValueError):
-        eval_monomials(basis, [1.0, np.nan])
-    with pytest.raises(ValueError):
-        eval_monomials(basis, [np.inf, 0.0])
-    with pytest.raises(ValueError):
-        eval_monomials(basis, [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        eval_monomial_jacobian(basis, [1.0, np.nan])
+def test_eval_rejects_bad_input(monkeypatch):
+    # monomial evaluation checks nothing: a bad state is rejected where it
+    # enters the model, before any monomial is evaluated
+    calls = []
+    monkeypatch.setattr(tmpnn.model, "eval_monomials_batch",
+                        lambda *args: calls.append(args))
+    model = TmpnnModel.create(2, 1, order=2, steps=1, standardize=False)
+    for X in ([[1.0, np.nan]], [[np.inf, 0.0]], [[1.0, 2.0, 3.0]]):
+        with pytest.raises(ValueError):
+            predict(model, X)
+    assert not calls
 
 
 def test_jacobian_hand_rows():
     basis = build_basis(2, 2)
-    jac = eval_monomial_jacobian(basis, [2.0, 3.0])
+    jac = monomial_jacobian(basis, [2.0, 3.0])
     rows = {tuple(r): i for i, r in enumerate(basis.exponents.tolist())}
     np.testing.assert_array_equal(jac[rows[(0, 0)]], [0.0, 0.0])
     np.testing.assert_array_equal(jac[rows[(1, 1)]], [3.0, 2.0])
@@ -155,7 +174,7 @@ def test_jacobian_matches_finite_differences():
         order = int(rng.integers(1, 5))
         basis = build_basis(dim, order)
         z = rng.uniform(-1.5, 1.5, size=dim)
-        jac = eval_monomial_jacobian(basis, z)
+        jac = monomial_jacobian(basis, z)
         for j in range(dim):
             zp, zm = z.copy(), z.copy()
             zp[j] += h
@@ -166,13 +185,18 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_jacobian_sparse_tables_match_dense():
-    basis = build_basis(4, 3)
-    dense = basis.exponents.astype(float)
-    for j in range(4):
-        rows = basis.jac_rows[j]
-        assert (basis.exponents[rows, j] > 0).all()
-        zero_rows = np.setdiff1d(np.arange(basis.size), rows)
-        assert (basis.exponents[zero_rows, j] == 0).all()
-        np.testing.assert_array_equal(basis.jac_exps[j], dense[rows, j])
-        np.testing.assert_array_equal(basis.jac_parents[j],
-                                      basis.decrement[rows, j])
+    # against the dense exponent table: jac_rows[j] is every monomial with
+    # z_j in it, and jac_parents[j] the same monomial divided by z_j
+    for dim, order in [(1, 3), (2, 4), (4, 3), (5, 2)]:
+        basis = build_basis(dim, order)
+        for j in range(dim):
+            rows = basis.jac_rows[j]
+            assert (basis.exponents[rows, j] > 0).all()
+            zero_rows = np.setdiff1d(np.arange(basis.size), rows)
+            assert (basis.exponents[zero_rows, j] == 0).all()
+            np.testing.assert_array_equal(basis.jac_exps[j],
+                                          basis.exponents[rows, j].astype(float))
+            lowered = basis.exponents[rows].copy()
+            lowered[:, j] -= 1
+            np.testing.assert_array_equal(
+                basis.exponents[basis.jac_parents[j]], lowered)

@@ -1,0 +1,33 @@
+"""The benchmark's traced run replaces tmpnn functions at the module
+attributes their callers look up.  Installing its tracer fails when one of
+those attributes is gone, so this keeps a rename or deletion in the library
+from silently breaking the per-layer measurements."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import tmpnn.model
+from tmpnn import TmpnnModel, TrainConfig, gen_friedman1
+
+# perfbench lives next to src/, outside the installed package
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.tracer import Tracer, layer_metrics  # noqa: E402
+
+
+def test_fit_predict_forward_run_through_the_traced_hooks():
+    data = gen_friedman1(64, seed=0)
+    model = TmpnnModel.create(5, 1, order=2, steps=2)
+    with Tracer() as tracer:
+        tmpnn.model.fit(model, data, config=TrainConfig(epochs=1, batch_size=32))
+        pred = tmpnn.model.predict(model, data.X)
+        single, _ = tmpnn.model.forward(model, data.X[0])
+    np.testing.assert_allclose(pred[0], single, rtol=1e-13)
+    for target in ("tmpnn.model.fit", "tmpnn.model.predict",
+                   "tmpnn.model.forward", "tmpnn.model.eval_monomials_batch",
+                   "tmpnn.model.adamax_step"):
+        assert tracer.calls[target] > 0, target
+    metrics = layer_metrics(tracer.spans, 0.0, 0.0)
+    assert metrics["model.optimizer_steps"] == 2
+    assert metrics["basis.eval.rows"] > 0

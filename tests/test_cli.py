@@ -96,6 +96,52 @@ def test_predict_writes_predictions(tmp_path, trained, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "y"
 
 
+def _write_features(path, names, rows):
+    lines = [",".join(names)] if names else []
+    lines += [",".join(repr(float(v)) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_predict_matches_columns_by_header(tmp_path):
+    model_path = tmp_path / "m.json"
+    assert run("train", "--gen", "friedman1", "--samples", 200, "--seed", 4,
+               "--order", 2, "--steps", 2, "--epochs", 5,
+               "--out", model_path) == 0
+    X = np.random.default_rng(4).uniform(size=(20, 5))
+    names = ["x1", "x2", "x3", "x4", "x5"]
+    order = [3, 0, 4, 2, 1]
+    outputs = {}
+    for label, header, rows in [
+            ("in_order", names, X),
+            ("reordered", [names[i] for i in order], X[:, order]),
+            ("headerless", None, X)]:
+        _write_features(tmp_path / f"{label}.csv", header, rows)
+        outputs[label] = tmp_path / f"{label}_pred.csv"
+        assert run("predict", "--model", model_path, "--data",
+                   tmp_path / f"{label}.csv", "--out", outputs[label]) == 0
+    expected = outputs["in_order"].read_bytes()
+    assert outputs["reordered"].read_bytes() == expected
+    assert outputs["headerless"].read_bytes() == expected
+
+
+def test_predict_header_mismatch_names_the_columns(tmp_path, trained, capsys):
+    model_path, _ = trained
+    bad = tmp_path / "bad.csv"
+    _write_features(bad, ["z"], np.zeros((2, 1)))
+    assert run("predict", "--model", model_path, "--data", bad) == 1
+    err = capsys.readouterr().err
+    assert "missing x" in err and "unexpected z" in err
+
+
+def test_predict_rejects_non_finite_row(tmp_path, trained, capsys):
+    model_path, _ = trained
+    features = tmp_path / "nan.csv"
+    features.write_text("x\n0.5\nnan\n")
+    assert run("predict", "--model", model_path, "--data", features) == 1
+    err = capsys.readouterr().err
+    assert "row 2" in err and "learning rate" not in err
+
+
 def test_evaluate_prints_per_target_metrics(trained, capsys):
     model_path, data_csv = trained
     assert run("evaluate", "--model", model_path, "--data", data_csv) == 0

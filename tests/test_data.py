@@ -110,6 +110,9 @@ def test_load_table_tolerates_blank_lines_and_padding(tmp_path):
     ("a,b\n1,2\n3\n", "row 2"),
     ("a,b\n1,2\n3,oops\n", "'oops'"),
     ("a,b\n1,\n", "missing value"),
+    ("a,b\n1,2\n3,nan\n", "non-finite value nan at row 2, column 'b'"),
+    ("1 inf\n2 3\n", "non-finite value inf at row 1, column 'c2'"),
+    ("a;b\n-Infinity;2\n", "non-finite value -inf at row 1, column 'a'"),
 ])
 def test_load_table_errors_carry_positions(tmp_path, text, fragment):
     path = tmp_path / "bad.csv"

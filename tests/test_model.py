@@ -1,11 +1,14 @@
 """Model forward pass, loss gradients, and the training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tmpnn import (Dataset, DivergenceError, TmpnnModel, TrainConfig,
-                   TrainingDivergedError, eval_monomials, fit, forward,
-                   identity_weights, loss_and_gradient, metric_mse, predict)
+                   TrainingDivergedError, fit, forward, identity_weights,
+                   loss_and_gradient, metric_mse, predict)
+from tmpnn.basis import eval_monomials_batch
 from tmpnn.model import _loss_grad_arrays
 
 
@@ -44,7 +47,7 @@ def test_single_step_equals_direct_polynomial():
     W = model.map.W
     for _ in range(20):
         x = rng.uniform(-2, 2)
-        phi = eval_monomials(basis, np.array([x, 0.0]))
+        phi = eval_monomials_batch(basis, np.array([[x, 0.0]]))[0]
         expected = float(phi @ W[:, 1])
         got = float(predict(model, np.array([[x]]))[0, 0])
         assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
@@ -218,6 +221,22 @@ def test_divergence_error_carries_location():
         predict(model, np.array([[0.1], [50.0]]))
     assert err.value.step is not None
     assert err.value.row == 1
+    # the state is that row's input to the map application that overflowed
+    _, trajectory = forward(replace(model, steps=err.value.step - 1), [50.0])
+    np.testing.assert_array_equal(err.value.state, trajectory[-1])
+
+
+def test_non_finite_input_is_a_value_error_naming_row_and_column():
+    # a NaN feature is bad input, not a divergence: the error names where
+    # it is instead of advising a smaller learning rate
+    model = TmpnnModel.create(3, 1, order=2, steps=2, standardize=False)
+    X = np.zeros((4, 3))
+    X[2, 1] = np.nan
+    X[3, 0] = np.inf
+    with pytest.raises(ValueError, match="row 2, column 1"):
+        predict(model, X)
+    with pytest.raises(ValueError, match="row 0, column 2"):
+        forward(model, [0.0, 1.0, -np.inf])
 
 
 def test_training_divergence_aborts_with_guidance():
@@ -259,8 +278,6 @@ def test_validation_errors():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size="half")
-    with pytest.raises(ValueError):
-        TrainConfig(loss="mae")
     with pytest.raises(ValueError):
         TmpnnModel.create(2, 1, order=2, steps=2, init="random")
     with pytest.raises(ValueError):

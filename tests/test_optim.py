@@ -1,9 +1,9 @@
-"""Adamax update arithmetic and gradient clipping."""
+"""Adamax update arithmetic."""
 
 import numpy as np
 import pytest
 
-from tmpnn import AdamaxState, adamax_step, clip_gradient
+from tmpnn import AdamaxState, adamax_step
 
 
 def fresh(params, **kw):
@@ -69,27 +69,3 @@ def test_rejects_bad_gradients():
         adamax_step(fresh(params), params, [np.array([1.0, np.nan])])
     with pytest.raises(ValueError):
         adamax_step(fresh(params), params, [np.zeros(3)])
-
-
-def test_clip_shrinks_to_max_norm():
-    g = [np.array([6.0, 8.0])]  # norm 10
-    clipped = clip_gradient(g, 1.0)
-    norm = np.linalg.norm(clipped[0])
-    assert abs(norm - 1.0) < 1e-12
-    cosine = float(g[0] @ clipped[0] / (10.0 * norm))
-    assert abs(cosine - 1.0) < 1e-12
-
-
-def test_clip_leaves_small_gradients_alone():
-    g = [np.array([0.3, 0.4])]  # norm 0.5
-    clipped = clip_gradient(g, 1.0)
-    np.testing.assert_array_equal(clipped[0], g[0])
-
-
-def test_clip_spans_multiple_arrays():
-    g = [np.array([3.0]), np.array([4.0])]  # joint norm 5
-    clipped = clip_gradient(g, 1.0)
-    joint = np.sqrt(sum(float(np.sum(c * c)) for c in clipped))
-    assert abs(joint - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        clip_gradient(g, 0.0)
