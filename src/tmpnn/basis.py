@@ -4,9 +4,10 @@ A state vector z of dimension d has Kronecker powers z, z^[2], ..., z^[k]
 whose entries repeat: z1*z2 and z2*z1 are the same number.  This module
 enumerates each distinct monomial of total degree <= k exactly once, in a
 fixed deterministic order, evaluates the monomials at a batch of states,
-and tabulates the sparse derivatives that backpropagation multiplies
-through.  Everything downstream (weight layout, serialization, the ODE
-view) depends on this ordering, so it is part of the package contract:
+and tabulates each monomial divided by each of its variables, which is all
+the derivative of the basis needs: d(z^a)/dz_j = a_j z^(a - e_j).
+Everything downstream (weight layout, serialization, the ODE view)
+depends on this ordering, so it is part of the package contract:
 
     degree ascending; within a degree, descending lexicographic order on
     the exponent vector, i.e. higher exponents on earlier variables first.
@@ -19,7 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -35,14 +35,15 @@ class MonomialBasis:
             monomial i.  Row 0 is the all-zeros constant term.
         degrees: (size,) int array of total degrees, non-decreasing.
         parent: (size,) int array; for a non-constant monomial i,
-            exponents[i] == exponents[parent[i]] + e_{parent_var[i]}.
-            Lets monomials be built degree by degree from one product each.
-        parent_var: (size,) int array, see parent.  0 for the constant.
-        jac_rows, jac_parents, jac_exps: sparse derivative tables per
-            variable j: the monomials containing z_j, the same monomials
-            divided by z_j, and the exponents of z_j as floats, so that
-            d(monomial jac_rows[j])/dz_j = jac_exps[j] * monomial
-            jac_parents[j].  Backpropagation skips the zero entries.
+            parent[i] == lowered[i, parent_var[i]].  Lets monomials be
+            built degree by degree from one product each.
+        parent_var: (size,) int array, the first variable of monomial i;
+            0 for the constant, whose parent is itself.
+        lowered: (size, dim) int array; lowered[i, j] is the index of
+            monomial i divided by z_j where exponents[i, j] > 0, and -1
+            elsewhere, so d(monomial i)/dz_j = exponents[i, j] * monomial
+            lowered[i, j].  The derivative of the whole basis is thus a
+            basis of one degree less, indexed by this one table.
     """
 
     dim: int
@@ -51,9 +52,7 @@ class MonomialBasis:
     degrees: np.ndarray
     parent: np.ndarray
     parent_var: np.ndarray
-    jac_rows: tuple[np.ndarray, ...]
-    jac_parents: tuple[np.ndarray, ...]
-    jac_exps: tuple[np.ndarray, ...]
+    lowered: np.ndarray
 
     @property
     def size(self) -> int:
@@ -64,8 +63,15 @@ class MonomialBasis:
         """Contiguous index range of the degree-q monomials."""
         if not 0 <= q <= self.order:
             raise ValueError(f"degree {q} outside [0, {self.order}]")
-        start = sum(comb(self.dim - 1 + j, self.dim - 1) for j in range(q))
-        return slice(start, start + comb(self.dim - 1 + q, self.dim - 1))
+        start, stop = self.degrees.searchsorted((q, q + 1)).tolist()
+        return slice(start, stop)
+
+    @property
+    def jac_rows(self) -> tuple[np.ndarray, ...]:
+        """Per variable j, the monomials that contain z_j (derived from
+        exponents; the benchmark's tracer counts them)."""
+        return tuple(np.nonzero(self.exponents[:, j])[0]
+                     for j in range(self.dim))
 
 
 @lru_cache(maxsize=None)
@@ -104,35 +110,22 @@ def build_basis(dim: int, order: int) -> MonomialBasis:
     degrees = exponents.sum(axis=1)
 
     index_of = {combo: i for i, combo in enumerate(combos)}
-
-    def lowered(combo: tuple[int, ...], var: int) -> int:
-        """Index of the monomial divided by z_var (a combo lists z_var
-        once per power)."""
-        k = combo.index(var)
-        return index_of[combo[:k] + combo[k + 1:]]
+    lowered = np.full((size, dim), -1, dtype=np.int64)
+    for i, combo in enumerate(combos):
+        # a combo lists z_var once per power, so drop one occurrence
+        for k, var in enumerate(combo):
+            lowered[i, var] = index_of[combo[:k] + combo[k + 1:]]
 
     # combos are ascending, so combo[0] is the first variable present
-    parent = np.array([0] + [lowered(c, c[0]) for c in combos[1:]],
-                      dtype=np.int64)
     parent_var = np.array([0] + [c[0] for c in combos[1:]], dtype=np.int64)
+    parent = lowered[np.arange(size), parent_var]
+    parent[0] = 0
 
-    jac_rows = []
-    jac_parents = []
-    jac_exps = []
-    for j in range(dim):
-        rows = np.nonzero(exponents[:, j])[0]
-        jac_rows.append(rows)
-        jac_parents.append(np.array([lowered(combos[i], j) for i in rows],
-                                    dtype=np.int64))
-        jac_exps.append(exponents[rows, j].astype(np.float64))
-
-    for arr in (exponents, degrees, parent, parent_var,
-                *jac_rows, *jac_parents, *jac_exps):
+    for arr in (exponents, degrees, parent, parent_var, lowered):
         arr.setflags(write=False)
     return MonomialBasis(dim=int(dim), order=int(order), exponents=exponents,
                          degrees=degrees, parent=parent, parent_var=parent_var,
-                         jac_rows=tuple(jac_rows),
-                         jac_parents=tuple(jac_parents), jac_exps=tuple(jac_exps))
+                         lowered=lowered)
 
 
 def eval_monomials_batch(basis: MonomialBasis, Z: np.ndarray) -> np.ndarray:

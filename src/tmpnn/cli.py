@@ -133,12 +133,34 @@ def _resolve_eval_targets(args, extras):
     raise ValueError("the model file records no target names; pass --targets")
 
 
+def _model_features(path, names, X, model, feature_names) -> np.ndarray:
+    """X's columns in the model's feature order: matched by header name
+    when the file has a header and the model records names, by position
+    otherwise.  Header names that do not match are a ValueError naming
+    the missing and the unexpected ones."""
+    if X.shape[1] != model.n_features:
+        raise ValueError(f"data has {X.shape[1]} feature columns but the "
+                         f"model expects {model.n_features}")
+    if not feature_names or names == feature_names:
+        return X
+    missing = [n for n in feature_names if n not in names]
+    unexpected = [n for n in names if n not in feature_names]
+    if not missing and not unexpected:
+        return X[:, [names.index(n) for n in feature_names]]
+    # a file without a header has load_table's default names, among them
+    # the target columns' when evaluating
+    if not set(names) - set(datamod.default_column_names(
+            len(names) + model.n_targets)):
+        return X
+    raise ValueError(f"{path}: columns do not match the model's features "
+                     f"({', '.join(feature_names)}): missing "
+                     f"{', '.join(missing) or 'none'}; unexpected "
+                     f"{', '.join(unexpected) or 'none'}")
+
+
 def cmd_evaluate(args) -> int:
     model, extras = iomod.load_model(args.model)
     dataset = datamod.load_csv(args.data, _resolve_eval_targets(args, extras))
-    if dataset.n_features != model.n_features:
-        raise ValueError(f"data has {dataset.n_features} feature columns but "
-                         f"the model expects {model.n_features}")
     if dataset.n_targets != model.n_targets:
         raise ValueError(f"data has {dataset.n_targets} target columns but "
                          f"the model predicts {model.n_targets}")
@@ -146,7 +168,9 @@ def cmd_evaluate(args) -> int:
     if test is not None:
         dataset = test
 
-    pred = modelmod.predict(model, dataset.X)
+    X = _model_features(args.data, dataset.feature_names, dataset.X, model,
+                        extras.get("feature_names"))
+    pred = modelmod.predict(model, X)
     print(f"rows {dataset.n_samples}")
     for j, name in enumerate(dataset.target_names):
         mse = datamod.metric_mse(dataset.Y[:, j], pred[:, j])
@@ -157,29 +181,10 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _feature_matrix(path, model, feature_names) -> np.ndarray:
-    """The feature CSV's columns in the model's feature order: matched by
-    header name when the file has a header and the model records names."""
-    names, X = datamod.load_table(path)
-    if X.shape[1] != model.n_features:
-        raise ValueError(f"data has {X.shape[1]} columns but the model "
-                         f"expects {model.n_features} features")
-    if (not feature_names or names == feature_names
-            or names == datamod.default_column_names(len(names))):
-        return X
-    missing = [n for n in feature_names if n not in names]
-    unexpected = [n for n in names if n not in feature_names]
-    if missing or unexpected:
-        raise ValueError(f"{path}: columns do not match the model's features "
-                         f"({', '.join(feature_names)}): missing "
-                         f"{', '.join(missing) or 'none'}; unexpected "
-                         f"{', '.join(unexpected) or 'none'}")
-    return X[:, [names.index(n) for n in feature_names]]
-
-
 def cmd_predict(args) -> int:
     model, extras = iomod.load_model(args.model)
-    X = _feature_matrix(args.data, model, extras.get("feature_names"))
+    names, X = datamod.load_table(args.data)
+    X = _model_features(args.data, names, X, model, extras.get("feature_names"))
     pred = modelmod.predict(model, X)
     target_names = (extras.get("target_names")
                     or [f"y{j + 1}" for j in range(model.n_targets)])

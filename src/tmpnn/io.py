@@ -114,7 +114,7 @@ def model_from_dict(doc: dict) -> tuple[TmpnnModel, dict]:
         scaler = Scaler(mean=mean, scale=scale)
 
     model = TmpnnModel(
-        n_features=n, n_targets=m, n_latent=latent, order=order, steps=steps,
+        n_features=n, n_targets=m, n_latent=latent, steps=steps,
         map=TaylorMapWeights(basis=basis, delta=delta),
         init_state=init_state,
         init_trainable=bool(doc.get("init_trainable", False)),

@@ -9,8 +9,11 @@ count stays that of a single order-k map.
 
 Training is plain reverse-mode accumulation through the p applications:
 each layer contributes phi(Z_t)^T G_{t+1} to the shared-weight gradient,
-and G_t chains G_{t+1} through the layer Jacobian.  The optimizer is
-Adamax (see optim); a forward pass that overflows is treated as an
+and G_t chains G_{t+1} through the layer Jacobian.  The Jacobian of an
+order-k polynomial map is a polynomial map of order k-1, so its
+coefficients are tabulated once per gradient step and every layer's
+Jacobian is one product with the lower-degree monomials.  The optimizer
+is Adamax (see optim); a forward pass that overflows is treated as an
 exploding step, which is skipped with the learning rate halved for the
 rest of the epoch.
 """
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import MonomialBasis, build_basis, eval_monomials_batch
+from .basis import MonomialBasis, eval_monomials_batch
 from .data import Dataset, metric_mse
 from .errors import DivergenceError, TrainingDivergedError
 from .optim import AdamaxState, adamax_step
@@ -63,21 +66,21 @@ class TmpnnModel:
         n_features: width n of the input feature vectors.
         n_targets: number m of predicted values.
         n_latent: number l of extra latent state slots (>= 0).
-        order: polynomial order k of the shared map.
         steps: number p of map applications.
-        map: the shared TaylorMapWeights with dim = n + m + l.
+        map: the shared TaylorMapWeights with dim = n + m + l; its basis
+            fixes the polynomial order k (the order property).
         init_state: length m + l initial values of the non-feature slots.
         init_trainable: whether fit() also learns init_state.
         reg_l1, reg_l2: coefficients penalizing the literal weight matrix.
         standardize: whether fit() standardizes features (z-score).
-        scaler: fitted standardization parameters, or None before fitting
-            (and always None when standardize is off).
+        scaler: standardization parameters, fitted by the first fit() and
+            kept by later ones; None before fitting (and always None when
+            standardize is off).
     """
 
     n_features: int
     n_targets: int
     n_latent: int
-    order: int
     steps: int
     map: TaylorMapWeights
     init_state: np.ndarray
@@ -90,8 +93,8 @@ class TmpnnModel:
     def __post_init__(self):
         if self.n_features < 1 or self.n_targets < 1 or self.n_latent < 0:
             raise ValueError("need n_features >= 1, n_targets >= 1, n_latent >= 0")
-        if self.steps < 1 or self.order < 1:
-            raise ValueError("need steps >= 1 and order >= 1")
+        if self.steps < 1:
+            raise ValueError("need steps >= 1")
         if self.map.dim != self.dim:
             raise ValueError(f"map dimension {self.map.dim} does not equal "
                              f"n_features + n_targets + n_latent = {self.dim}")
@@ -105,6 +108,10 @@ class TmpnnModel:
     @property
     def dim(self) -> int:
         return self.n_features + self.n_targets + self.n_latent
+
+    @property
+    def order(self) -> int:
+        return self.map.order
 
     @property
     def basis(self) -> MonomialBasis:
@@ -129,7 +136,7 @@ class TmpnnModel:
         elif init != "identity":
             raise ValueError(f"init must be 'identity' or 'perturbed', got {init!r}")
         return cls(n_features=n_features, n_targets=n_targets, n_latent=n_latent,
-                   order=order, steps=steps, map=weights,
+                   steps=steps, map=weights,
                    init_state=np.zeros(n_targets + n_latent),
                    init_trainable=init_trainable,
                    reg_l1=reg_l1, reg_l2=reg_l2, standardize=standardize)
@@ -219,8 +226,7 @@ def _forward_states(model: TmpnnModel, Z0: np.ndarray,
             row = int(np.where(~np.isfinite(Z).all(axis=1))[0][0])
             raise DivergenceError(
                 f"state became non-finite at map application {t + 1} "
-                f"(batch row {row}); consider standardized features or a "
-                f"smaller learning rate", step=t + 1, row=row,
+                f"(batch row {row})", step=t + 1, row=row,
                 state=states[-1][row])
         if keep_phis:
             phis.append(phi)
@@ -265,56 +271,12 @@ def predict(model: TmpnnModel, X) -> np.ndarray:
     return states[-1][:, n:n + m].copy()
 
 
-def _loss_grad_arrays(model: TmpnnModel, X: np.ndarray, Y: np.ndarray):
-    """Batch loss and gradients w.r.t. map.delta (and init_state if trainable).
+def loss_and_gradient(model: TmpnnModel, batch: Dataset):
+    """Training objective and its gradient on one batch.
 
     The data term is the mean squared error over every target entry; L1/L2
     penalties apply to the literal coefficient matrix, identity diagonal
     included.
-    """
-    n, m = model.n_features, model.n_targets
-    basis = model.basis
-    delta = model.map.delta
-    Z0 = model.initial_state(X)
-    states, phis = _forward_states(model, Z0, keep_phis=True)
-
-    pred = states[-1][:, n:n + m]
-    resid = pred - Y
-    nb = X.shape[0]
-    loss = float(np.mean(resid ** 2))
-
-    G = np.zeros_like(Z0)
-    G[:, n:n + m] = (2.0 / (nb * m)) * resid
-
-    d_delta = np.zeros_like(delta)
-    # near-divergent batches may overflow here; fit() skips such steps
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(model.steps - 1, -1, -1):
-            phi = phis[t]
-            d_delta += phi.T @ G
-            # chain G through the layer Jacobian I + dphi/dz @ delta
-            B = G @ delta.T
-            Gprev = G.copy()
-            for i in range(model.dim):
-                Gprev[:, i] += (phi[:, basis.jac_parents[i]]
-                                * B[:, basis.jac_rows[i]]) @ basis.jac_exps[i]
-            G = Gprev
-
-    if model.reg_l1 > 0 or model.reg_l2 > 0:
-        W = model.map.W
-        if model.reg_l1 > 0:
-            loss += model.reg_l1 * float(np.sum(np.abs(W)))
-            d_delta += model.reg_l1 * np.sign(W)
-        if model.reg_l2 > 0:
-            loss += model.reg_l2 * float(np.sum(W ** 2))
-            d_delta += 2.0 * model.reg_l2 * W
-
-    d_init = G[:, n:].sum(axis=0) if model.init_trainable else None
-    return loss, d_delta, d_init
-
-
-def loss_and_gradient(model: TmpnnModel, batch: Dataset):
-    """Training objective and its gradient on one batch.
 
     Returns:
         (loss, gradients) where gradients is a dict with key "delta"
@@ -326,10 +288,50 @@ def loss_and_gradient(model: TmpnnModel, batch: Dataset):
     """
     if batch.n_features != model.n_features or batch.n_targets != model.n_targets:
         raise ValueError("batch width does not match the model")
-    loss, d_delta, d_init = _loss_grad_arrays(model, batch.X, batch.Y)
+    n, m, dim = model.n_features, model.n_targets, model.dim
+    basis = model.basis
+    delta = model.map.delta
+    Z0 = model.initial_state(batch.X)
+    states, phis = _forward_states(model, Z0, keep_phis=True)
+
+    resid = states[-1][:, n:n + m] - batch.Y
+    loss = float(np.mean(resid ** 2))
+
+    G = np.zeros_like(Z0)
+    G[:, n:n + m] = (2.0 / resid.size) * resid
+
+    # the layer Jacobian I + (dphi/dZ)^T delta is a polynomial in the
+    # monomials of degree below k, since d(phi_i)/dz_j = exponents[i, j]
+    # * phi[lowered[i, j]]; dividing by z_j is injective, so no (row, j)
+    # of C is written twice
+    rows, var = np.nonzero(basis.exponents)
+    low = basis.degree_slice(basis.order).start
+    C = np.zeros((low, dim, dim))
+    C[basis.lowered[rows, var], var] = (basis.exponents[rows, var, None]
+                                        * delta[rows])
+    C = C.reshape(low, dim * dim)
+
+    d_delta = np.zeros_like(delta)
+    # near-divergent batches may overflow here; fit() skips such steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(model.steps - 1, -1, -1):
+            phi = phis[t]
+            d_delta += phi.T @ G
+            J = (phi[:, :low] @ C).reshape(-1, dim, dim)
+            G = G + np.einsum("njo,no->nj", J, G)
+
+    if model.reg_l1 > 0 or model.reg_l2 > 0:
+        W = model.map.W
+        if model.reg_l1 > 0:
+            loss += model.reg_l1 * float(np.sum(np.abs(W)))
+            d_delta += model.reg_l1 * np.sign(W)
+        if model.reg_l2 > 0:
+            loss += model.reg_l2 * float(np.sum(W ** 2))
+            d_delta += 2.0 * model.reg_l2 * W
+
     grads = {"delta": d_delta}
-    if d_init is not None:
-        grads["init_state"] = d_init
+    if model.init_trainable:
+        grads["init_state"] = G[:, n:].sum(axis=0)
     return loss, grads
 
 
@@ -349,14 +351,15 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
         config: TrainConfig | None = None) -> TrainReport:
     """Train the model in place with Adamax; returns a TrainReport.
 
-    Features are standardized first when model.standardize is set (the
-    scaler is fitted on the training split).  A diverging batch is skipped
-    and the learning rate halved for the remainder of that epoch; if every
-    batch of an epoch diverges, TrainingDivergedError is raised.  A
-    validation or final metric pass that diverges records inf instead of
-    failing the run.  With early_stop configured and a validation set
-    given, the weights from the best validation epoch are restored at the
-    end.
+    Features are standardized when model.standardize is set: the scaler
+    is fitted on the training split of the first fit() and kept by later
+    ones, so a warm start trains in the coordinates the map was learned
+    in.  A diverging batch is skipped and the learning rate halved for
+    the remainder of that epoch; if every batch of an epoch diverges,
+    TrainingDivergedError is raised.  A validation or final metric pass
+    that diverges records inf instead of failing the run.  With early_stop
+    configured and a validation set given, the weights from the best
+    validation epoch are restored at the end.
     """
     if config is None:
         config = TrainConfig()
@@ -366,7 +369,7 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
                               or valid.n_targets != model.n_targets):
         raise ValueError("validation data width does not match the model")
 
-    if model.standardize:
+    if model.standardize and model.scaler is None:
         model.scaler = Scaler.fit(train.X)
 
     n_rows = train.n_samples
@@ -388,25 +391,21 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
         for start in range(0, n_rows, batch):
             idx = perm[start:start + batch]
             try:
-                loss, d_delta, d_init = _loss_grad_arrays(
-                    model, train.X[idx], train.Y[idx])
+                loss, grads = loss_and_gradient(model, train.take(idx))
             except DivergenceError:
                 report.diverged_steps += 1
                 lr *= 0.5
                 continue
             # an overflowing backward pass is the same exploding-step event
-            if (not np.isfinite(loss)
-                    or not np.all(np.isfinite(d_delta))
-                    or (d_init is not None and not np.all(np.isfinite(d_init)))):
+            if not (np.isfinite(loss)
+                    and all(np.isfinite(g).all() for g in grads.values())):
                 report.diverged_steps += 1
                 lr *= 0.5
                 continue
             params = [model.map.delta]
-            grads = [d_delta]
             if model.init_trainable:
                 params.append(model.init_state)
-                grads.append(d_init)
-            params = adamax_step(opt, params, grads, lr=lr)
+            params = adamax_step(opt, params, list(grads.values()), lr=lr)
             model.map.delta = params[0]
             if model.init_trainable:
                 model.init_state = params[1]

@@ -1,5 +1,5 @@
-"""Monomial basis enumeration, batch evaluation and the sparse derivative
-tables, against brute-force oracles."""
+"""Monomial basis enumeration, batch evaluation and the derivative table,
+against brute-force oracles."""
 
 import itertools
 from math import comb
@@ -19,11 +19,11 @@ def eval_monomials(basis, z):
 
 def monomial_jacobian(basis, z):
     """(size, dim) derivatives of the monomials at z, assembled from the
-    sparse tables backpropagation multiplies: exps * phi[parents]."""
+    table backpropagation uses: exponents[i, j] * phi[lowered[i, j]]."""
     phi = eval_monomials(basis, z)
+    rows, var = np.nonzero(basis.exponents)
     jac = np.zeros((basis.size, basis.dim))
-    for j in range(basis.dim):
-        jac[basis.jac_rows[j], j] = basis.jac_exps[j] * phi[basis.jac_parents[j]]
+    jac[rows, var] = basis.exponents[rows, var] * phi[basis.lowered[rows, var]]
     return jac
 
 
@@ -185,18 +185,21 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_jacobian_sparse_tables_match_dense():
-    # against the dense exponent table: jac_rows[j] is every monomial with
-    # z_j in it, and jac_parents[j] the same monomial divided by z_j
+    # against the dense exponent table: lowered[i, j] is monomial i divided
+    # by z_j, and the -1 sentinel sits exactly where z_j does not divide it
     for dim, order in [(1, 3), (2, 4), (4, 3), (5, 2)]:
         basis = build_basis(dim, order)
+        assert basis.lowered.shape == (basis.size, dim)
+        np.testing.assert_array_equal(basis.lowered == -1,
+                                      basis.exponents == 0)
+        rows, var = np.nonzero(basis.exponents)
+        expected = basis.exponents[rows].copy()
+        expected[np.arange(len(rows)), var] -= 1
+        np.testing.assert_array_equal(
+            basis.exponents[basis.lowered[rows, var]], expected)
         for j in range(dim):
-            rows = basis.jac_rows[j]
-            assert (basis.exponents[rows, j] > 0).all()
-            zero_rows = np.setdiff1d(np.arange(basis.size), rows)
-            assert (basis.exponents[zero_rows, j] == 0).all()
-            np.testing.assert_array_equal(basis.jac_exps[j],
-                                          basis.exponents[rows, j].astype(float))
-            lowered = basis.exponents[rows].copy()
-            lowered[:, j] -= 1
-            np.testing.assert_array_equal(
-                basis.exponents[basis.jac_parents[j]], lowered)
+            np.testing.assert_array_equal(basis.jac_rows[j],
+                                          np.nonzero(basis.exponents[:, j])[0])
+        np.testing.assert_array_equal(
+            basis.parent[1:],
+            basis.lowered[np.arange(1, basis.size), basis.parent_var[1:]])

@@ -155,6 +155,42 @@ def test_evaluate_prints_per_target_metrics(trained, capsys):
     assert "rows 50" in capsys.readouterr().out
 
 
+@pytest.fixture()
+def friedman_model(tmp_path):
+    data_csv = tmp_path / "friedman.csv"
+    model_path = tmp_path / "friedman.json"
+    assert run("gen-data", "friedman1", "--samples", 200, "--seed", 4,
+               "--out", data_csv) == 0
+    assert run("train", "--data", data_csv, "--targets", "y", "--order", 2,
+               "--steps", 2, "--epochs", 5, "--out", model_path) == 0
+    names, table = load_table(data_csv)
+    return model_path, names, table
+
+
+def test_evaluate_matches_columns_by_header(tmp_path, friedman_model, capsys):
+    model_path, names, table = friedman_model
+    reordered = list(reversed(range(len(names))))  # target first
+    outputs = []
+    for columns in (range(len(names)), reordered):
+        path = tmp_path / "eval.csv"
+        _write_features(path, [names[i] for i in columns], table[:, columns])
+        capsys.readouterr()
+        assert run("evaluate", "--model", model_path, "--data", path) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0]
+
+
+def test_evaluate_header_mismatch_names_the_columns(tmp_path, friedman_model,
+                                                    capsys):
+    model_path, names, table = friedman_model
+    bad = tmp_path / "bad.csv"
+    _write_features(bad, ["z" if n == "x5" else n for n in names], table)
+    capsys.readouterr()
+    assert run("evaluate", "--model", model_path, "--data", bad) == 1
+    err = capsys.readouterr().err
+    assert "missing x5" in err and "unexpected z" in err
+
+
 def test_inspect_ode_renders_equations(trained, capsys):
     model_path, _ = trained
     assert run("inspect-ode", "--model", model_path) == 0

@@ -9,7 +9,6 @@ from tmpnn import (Dataset, DivergenceError, TmpnnModel, TrainConfig,
                    TrainingDivergedError, fit, forward, identity_weights,
                    loss_and_gradient, metric_mse, predict)
 from tmpnn.basis import eval_monomials_batch
-from tmpnn.model import _loss_grad_arrays
 
 
 def random_model(rng, n, m, l=0, k=2, p=3, scale=0.1, **kw):
@@ -111,19 +110,20 @@ def test_gradient_matches_finite_differences():
         model.init_state = rng.normal(0, 0.1, m + l)
         model.reg_l1 = float(rng.uniform(0, 0.01))
         model.reg_l2 = float(rng.uniform(0, 0.01))
-        X = rng.normal(0, 0.6, size=(5, n))
-        Y = rng.normal(0, 0.6, size=(5, m))
-        _, d_delta, d_init = _loss_grad_arrays(model, X, Y)
-        for arr, ana in ((model.map.delta, d_delta),
-                         (model.init_state, d_init)):
+        batch = Dataset(rng.normal(0, 0.6, size=(5, n)),
+                        rng.normal(0, 0.6, size=(5, m)),
+                        [f"x{i}" for i in range(n)], [f"y{i}" for i in range(m)])
+        _, grads = loss_and_gradient(model, batch)
+        for arr, ana in ((model.map.delta, grads["delta"]),
+                         (model.init_state, grads["init_state"])):
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lp = _loss_grad_arrays(model, X, Y)[0]
+                lp = loss_and_gradient(model, batch)[0]
                 arr[idx] = orig - h
-                lm = _loss_grad_arrays(model, X, Y)[0]
+                lm = loss_and_gradient(model, batch)[0]
                 arr[idx] = orig
                 fd = (lp - lm) / (2 * h)
                 denom = max(1.0, abs(fd), abs(ana[idx]))
@@ -184,6 +184,20 @@ def test_standardization_round_trip():
                                   predict(model_b, (Xnew - mean) / scale))
 
 
+def test_refit_keeps_the_scaler():
+    # a warm start on a subset must train in the coordinates the map was
+    # learned in, not in ones refitted to the subset
+    rng = np.random.default_rng(15)
+    X = rng.uniform(5.0, 9.0, size=(200, 2))
+    data = Dataset(X, X[:, :1] * X[:, 1:], ["a", "b"], ["y"])
+    model = TmpnnModel.create(2, 1, order=2, steps=2)
+    fit(model, data, config=TrainConfig(epochs=2, batch_size=32))
+    mean, scale = model.scaler.mean.copy(), model.scaler.scale.copy()
+    fit(model, data.take(np.arange(50)), config=TrainConfig(epochs=1))
+    np.testing.assert_array_equal(model.scaler.mean, mean)
+    np.testing.assert_array_equal(model.scaler.scale, scale)
+
+
 def test_init_state_training():
     rng = np.random.default_rng(10)
     X = rng.normal(size=(40, 1))
@@ -224,6 +238,19 @@ def test_divergence_error_carries_location():
     # the state is that row's input to the map application that overflowed
     _, trajectory = forward(replace(model, steps=err.value.step - 1), [50.0])
     np.testing.assert_array_equal(err.value.state, trajectory[-1])
+
+
+def test_prediction_divergence_names_no_learning_rate():
+    # no learning rate applies at prediction: the error says where the
+    # trajectory overflowed and nothing more
+    model = TmpnnModel.create(1, 1, order=3, steps=5, standardize=False)
+    model.map.delta = model.map.delta + 1.0
+    with pytest.raises(DivergenceError) as err:
+        predict(model, np.array([[50.0]]))
+    message = str(err.value)
+    assert f"map application {err.value.step}" in message
+    assert "batch row 0" in message
+    assert "learning rate" not in message
 
 
 def test_non_finite_input_is_a_value_error_naming_row_and_column():
@@ -281,11 +308,21 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         TmpnnModel.create(2, 1, order=2, steps=2, init="random")
     with pytest.raises(ValueError):
-        TmpnnModel(n_features=2, n_targets=1, n_latent=0, order=2, steps=2,
+        TmpnnModel(n_features=2, n_targets=1, n_latent=0, steps=2,
                    map=identity_weights(4, 2), init_state=np.zeros(1))
     with pytest.raises(ValueError):
-        TmpnnModel(n_features=2, n_targets=1, n_latent=0, order=2, steps=2,
+        TmpnnModel(n_features=2, n_targets=1, n_latent=0, steps=2,
                    map=identity_weights(3, 2), init_state=np.zeros(2))
+
+
+def test_order_is_read_from_the_map():
+    # one source for the order: a model cannot be built with an order its
+    # map does not have, so save_model cannot write a file load_model rejects
+    model = TmpnnModel.create(2, 1, order=3, steps=2)
+    assert model.order == model.map.order == 3
+    with pytest.raises(TypeError):
+        TmpnnModel(n_features=1, n_targets=1, n_latent=0, order=3, steps=2,
+                   map=identity_weights(2, 2), init_state=np.zeros(1))
 
 
 def test_perturbed_init_is_seeded_noise_around_identity():

@@ -1,5 +1,6 @@
 """The shared polynomial layer: construction, one application through the
-batched forward pass, and its derivatives from the sparse tables."""
+batched forward pass, and its derivatives from the basis's derivative
+table."""
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ def one_step_model(weights, z):
     feature, the last is the target slot, started at z[-1]."""
     z = np.asarray(z, dtype=float)
     model = TmpnnModel(n_features=weights.dim - 1, n_targets=1, n_latent=0,
-                       order=weights.order, steps=1, map=weights,
-                       init_state=z[-1:], standardize=False)
+                       steps=1, map=weights, init_state=z[-1:],
+                       standardize=False)
     return model, z[:-1]
 
 
