@@ -13,6 +13,11 @@ depends on this ordering, so it is part of the package contract:
     the exponent vector, i.e. higher exponents on earlier variables first.
 
 For d=2, k=2 the order is [1, z1, z2, z1^2, z1*z2, z2^2].
+
+Evaluation is feature-major: the monomials are built as (size, N) rows,
+so each degree is one product of contiguous rows (parent monomials of
+one degree less times one variable each), and the caller gets the
+(N, size) transposed view.
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ class MonomialBasis:
             elsewhere, so d(monomial i)/dz_j = exponents[i, j] * monomial
             lowered[i, j].  The derivative of the whole basis is thus a
             basis of one degree less, indexed by this one table.
+        degree_blocks: per degree q = 0..order, the read-only triple
+            (degree_slice(q), parent[block], parent_var[block]) that
+            evaluation reads, so no call re-slices the tables.
     """
 
     dim: int
@@ -53,6 +61,7 @@ class MonomialBasis:
     parent: np.ndarray
     parent_var: np.ndarray
     lowered: np.ndarray
+    degree_blocks: tuple[tuple[slice, np.ndarray, np.ndarray], ...]
 
     @property
     def size(self) -> int:
@@ -63,8 +72,7 @@ class MonomialBasis:
         """Contiguous index range of the degree-q monomials."""
         if not 0 <= q <= self.order:
             raise ValueError(f"degree {q} outside [0, {self.order}]")
-        start, stop = self.degrees.searchsorted((q, q + 1)).tolist()
-        return slice(start, stop)
+        return self.degree_blocks[q][0]
 
     @property
     def jac_rows(self) -> tuple[np.ndarray, ...]:
@@ -123,9 +131,14 @@ def build_basis(dim: int, order: int) -> MonomialBasis:
 
     for arr in (exponents, degrees, parent, parent_var, lowered):
         arr.setflags(write=False)
+    # slices of read-only tables are read-only views
+    bounds = degrees.searchsorted(np.arange(order + 2)).tolist()
+    degree_blocks = tuple(
+        (block, parent[block], parent_var[block])
+        for block in (slice(a, b) for a, b in zip(bounds, bounds[1:])))
     return MonomialBasis(dim=int(dim), order=int(order), exponents=exponents,
                          degrees=degrees, parent=parent, parent_var=parent_var,
-                         lowered=lowered)
+                         lowered=lowered, degree_blocks=degree_blocks)
 
 
 def eval_monomials_batch(basis: MonomialBasis, Z: np.ndarray) -> np.ndarray:
@@ -138,12 +151,13 @@ def eval_monomials_batch(basis: MonomialBasis, Z: np.ndarray) -> np.ndarray:
             between layers surfaces as a DivergenceError there.
 
     Returns:
-        (N, size) array; column i holds monomial i at every row.
+        (N, size) array; column i holds monomial i at every row.  It is
+        the transposed view of a C-ordered (size, N) array: each monomial
+        is one contiguous row there, so each degree is one product.
     """
-    n = Z.shape[0]
-    phi = np.empty((n, basis.size), dtype=np.float64)
-    phi[:, 0] = 1.0
-    for q in range(1, basis.order + 1):
-        block = basis.degree_slice(q)
-        phi[:, block] = phi[:, basis.parent[block]] * Z[:, basis.parent_var[block]]
-    return phi
+    phi = np.empty((basis.size, Z.shape[0]), dtype=np.float64)
+    phi[0] = 1.0
+    ZT = Z.T
+    for block, parent, var in basis.degree_blocks[1:]:
+        np.multiply(phi[parent], ZT[var], out=phi[block])
+    return phi.T

@@ -203,14 +203,26 @@ class TrainReport:
     final_valid_mse: float | None = None
 
 
+# Bytes of monomial matrix one predict block may hold: small enough that
+# phi stays in cache across the p map applications of a block.
+_PHI_BLOCK_BYTES = 512 * 1024
+
+
+def _block_rows(basis: MonomialBasis) -> int:
+    """Largest number of rows predict evaluates in one block; at least
+    16, so an even split never leaves a block of fewer than 8 rows."""
+    return max(16, _PHI_BLOCK_BYTES // (8 * basis.size))
+
+
 def _forward_states(model: TmpnnModel, Z0: np.ndarray,
-                    keep_phis: bool = False):
+                    keep_phis: bool = False, first_row: int = 0):
     """Run the p map applications on a batch of start states.
 
     Returns (states, phis): states is a list of p+1 (N, dim) arrays and
     phis the monomial matrices of the first p states when requested.
     Raises DivergenceError with the step and first offending row when a
-    state goes non-finite.
+    state goes non-finite; first_row is added to the reported row, for a
+    batch that is a block of a larger input.
     """
     delta = model.map.delta
     basis = model.basis
@@ -226,8 +238,8 @@ def _forward_states(model: TmpnnModel, Z0: np.ndarray,
             row = int(np.where(~np.isfinite(Z).all(axis=1))[0][0])
             raise DivergenceError(
                 f"state became non-finite at map application {t + 1} "
-                f"(batch row {row})", step=t + 1, row=row,
-                state=states[-1][row])
+                f"(batch row {first_row + row})", step=t + 1,
+                row=first_row + row, state=states[-1][row])
         if keep_phis:
             phis.append(phi)
         states.append(Z)
@@ -262,13 +274,32 @@ def forward(model: TmpnnModel, x) -> tuple[np.ndarray, list[np.ndarray]]:
 def predict(model: TmpnnModel, X) -> np.ndarray:
     """Predict an (N, n_targets) matrix for an (N, n_features) input.
 
+    The rows run through the p map applications in consecutive, evenly
+    split blocks whose monomial matrix fits a fixed budget of about 512
+    KiB, so memory beyond X and the result is bounded whatever N is.  No
+    block is a single row unless N == 1, so each row's prediction is the
+    one a single pass over all rows gives, to the last bit for bases
+    within one BLAS block of the phi @ delta sum (a few hundred
+    monomials; wider ones may round the last bits by row count, in one
+    pass as in blocks).
+
     Raises ValueError on bad input (see TmpnnModel.initial_state), and
     DivergenceError, carrying step, row and state, when a row overflows.
+    When rows in several blocks overflow, the error is the first block's
+    (in row order): its earliest overflowing step, and the first row of
+    that block to overflow there; row is the index into X.
     """
     Z0 = model.initial_state(X)
-    states, _ = _forward_states(model, Z0)
     n, m = model.n_features, model.n_targets
-    return states[-1][:, n:n + m].copy()
+    N = Z0.shape[0]
+    out = np.empty((N, m))
+    # even blocks: no block has a single row unless N == 1
+    n_blocks = max(1, -(-N // _block_rows(model.basis)))
+    bounds = [N * i // n_blocks for i in range(n_blocks + 1)]
+    for start, stop in zip(bounds, bounds[1:]):
+        states, _ = _forward_states(model, Z0[start:stop], first_row=start)
+        out[start:stop] = states[-1][:, n:n + m]
+    return out
 
 
 def loss_and_gradient(model: TmpnnModel, batch: Dataset):
@@ -317,8 +348,10 @@ def loss_and_gradient(model: TmpnnModel, batch: Dataset):
         for t in range(model.steps - 1, -1, -1):
             phi = phis[t]
             d_delta += phi.T @ G
-            J = (phi[:, :low] @ C).reshape(-1, dim, dim)
-            G = G + np.einsum("njo,no->nj", J, G)
+            # G_0 is read only as the init_state gradient
+            if t > 0 or model.init_trainable:
+                J = (phi[:, :low] @ C).reshape(-1, dim, dim)
+                G = G + np.einsum("njo,no->nj", J, G)
 
     if model.reg_l1 > 0 or model.reg_l2 > 0:
         W = model.map.W

@@ -99,6 +99,21 @@ def test_degree_slice_partitions_rows():
     assert covered == list(range(basis.size))
 
 
+def test_degree_blocks_are_read_only_views_of_the_tables():
+    for dim, order in [(1, 1), (2, 2), (3, 4), (6, 3)]:
+        basis = build_basis(dim, order)
+        assert len(basis.degree_blocks) == order + 1
+        for q, (block, parent, var) in enumerate(basis.degree_blocks):
+            assert block == basis.degree_slice(q)
+            start, stop = basis.degrees.searchsorted((q, q + 1))
+            assert (block.start, block.stop) == (start, stop)
+            np.testing.assert_array_equal(parent, basis.parent[block])
+            np.testing.assert_array_equal(var, basis.parent_var[block])
+            for table in (parent, var):
+                with pytest.raises(ValueError):
+                    table[0] = 0
+
+
 def test_eval_hand_values():
     basis = build_basis(2, 2)
     np.testing.assert_array_equal(eval_monomials(basis, [2.0, 3.0]),

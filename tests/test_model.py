@@ -1,14 +1,16 @@
 """Model forward pass, loss gradients, and the training loop."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tmpnn import (Dataset, DivergenceError, TmpnnModel, TrainConfig,
+from tmpnn import (Dataset, DivergenceError, Scaler, TmpnnModel, TrainConfig,
                    TrainingDivergedError, fit, forward, identity_weights,
                    loss_and_gradient, metric_mse, predict)
 from tmpnn.basis import eval_monomials_batch
+from tmpnn.model import _block_rows, _forward_states
 
 
 def random_model(rng, n, m, l=0, k=2, p=3, scale=0.1, **kw):
@@ -73,6 +75,49 @@ def test_predict_rows_match_forward():
         np.testing.assert_allclose(batch[i], single, rtol=1e-13, atol=1e-15)
 
 
+def test_chunked_predict_equals_one_unchunked_pass():
+    # blocks are split evenly, so none has a single row (a 1-row product
+    # takes another BLAS path), and predict is bit-identical to one pass
+    # over all rows at and around the block boundaries
+    rng = np.random.default_rng(21)
+    for n, m, l, k in [(5, 1, 0, 3), (10, 2, 2, 2)]:
+        model = random_model(rng, n, m, l=l, k=k, p=5, scale=0.02)
+        C = _block_rows(model.basis)
+        for N in (1, 2, C - 1, C, C + 1, 2 * C + 1):
+            X = rng.uniform(-1.0, 1.0, size=(N, n))
+            states, _ = _forward_states(model, model.initial_state(X))
+            np.testing.assert_array_equal(predict(model, X),
+                                          states[-1][:, n:n + m])
+
+
+def test_chunked_predict_of_a_basis_wider_than_a_gemm_block():
+    # past a few hundred monomials BLAS splits the phi @ delta sum in
+    # blocks for some row counts and not for others, so blocks may move
+    # the last bits, as the batch size did in one pass
+    rng = np.random.default_rng(24)
+    model = random_model(rng, 10, 2, l=2, k=3, p=5, scale=0.002)
+    C = _block_rows(model.basis)
+    X = rng.uniform(-1.0, 1.0, size=(2 * C + 1, 10))
+    states, _ = _forward_states(model, model.initial_state(X))
+    np.testing.assert_allclose(predict(model, X), states[-1][:, 10:12],
+                               rtol=1e-12, atol=1e-15)
+
+
+def test_predict_memory_is_bounded_by_the_block_budget():
+    # the unchunked pass held a (50k x 84) monomial matrix per step, 140 MB
+    # in all; the blocks keep the peak to the input, output and a block
+    model = TmpnnModel.create(5, 1, order=3, steps=5)
+    X = np.random.default_rng(22).uniform(0.0, 1.0, size=(50_000, 5))
+    model.scaler = Scaler.fit(X)
+    tracemalloc.start()
+    try:
+        predict(model, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def test_identity_zero_targets_zero_loss_and_gradient():
     model = TmpnnModel.create(2, 1, order=2, steps=3, standardize=False)
     data = Dataset(np.random.default_rng(0).normal(size=(8, 2)),
@@ -128,6 +173,24 @@ def test_gradient_matches_finite_differences():
                 fd = (lp - lm) / (2 * h)
                 denom = max(1.0, abs(fd), abs(ana[idx]))
                 assert abs(ana[idx] - fd) / denom < 1e-5
+
+
+def test_delta_gradient_does_not_depend_on_init_trainable():
+    # the first layer's Jacobian chain feeds only the init_state gradient,
+    # and is skipped when init_state is fixed
+    rng = np.random.default_rng(23)
+    for n, m, l, k, p in [(2, 1, 1, 3, 4), (5, 1, 0, 3, 5), (1, 2, 0, 2, 1)]:
+        model = random_model(rng, n, m, l=l, k=k, p=p)
+        model.init_state = rng.normal(0, 0.1, m + l)
+        batch = Dataset(rng.normal(0, 0.6, size=(32, n)),
+                        rng.normal(0, 0.6, size=(32, m)),
+                        [f"x{i}" for i in range(n)], [f"y{i}" for i in range(m)])
+        loss_off, off = loss_and_gradient(model, batch)
+        loss_on, on = loss_and_gradient(replace(model, init_trainable=True),
+                                        batch)
+        assert loss_off == loss_on
+        assert set(off) == {"delta"} and set(on) == {"delta", "init_state"}
+        np.testing.assert_array_equal(off["delta"], on["delta"])
 
 
 def test_multi_target_width_is_structural():
@@ -236,6 +299,21 @@ def test_divergence_error_carries_location():
     assert err.value.step is not None
     assert err.value.row == 1
     # the state is that row's input to the map application that overflowed
+    _, trajectory = forward(replace(model, steps=err.value.step - 1), [50.0])
+    np.testing.assert_array_equal(err.value.state, trajectory[-1])
+
+
+def test_divergence_beyond_the_first_block_names_the_global_row():
+    model = TmpnnModel.create(1, 1, order=3, steps=5, standardize=False)
+    model.map.delta = model.map.delta + 1.0
+    C = _block_rows(model.basis)
+    X = np.full((2 * C + 1, 1), 0.1)
+    bad = C + 7
+    X[bad] = 50.0
+    with pytest.raises(DivergenceError) as err:
+        predict(model, X)
+    assert err.value.row == bad
+    assert f"batch row {bad})" in str(err.value)
     _, trajectory = forward(replace(model, steps=err.value.step - 1), [50.0])
     np.testing.assert_array_equal(err.value.state, trajectory[-1])
 

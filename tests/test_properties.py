@@ -1,5 +1,6 @@
-"""Property tests of the exact round trips over random model shapes:
-JSON save/load, ODE extract/rebuild, and raise-order at step doublings."""
+"""Property tests of the exact round trips: JSON save/load, ODE
+extract/rebuild and raise-order at step doublings over random model
+shapes, and CSV save/load over random tables."""
 
 import tempfile
 from pathlib import Path
@@ -8,8 +9,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmpnn import (Scaler, TmpnnModel, extract_ode, load_model, predict,
-                   raise_order, rebuild_map, save_model)
+from tmpnn import (Dataset, Scaler, TmpnnModel, extract_ode, load_csv,
+                   load_model, predict, raise_order, rebuild_map, save_csv,
+                   save_model)
 
 # (n, m, l, k, p) with the weights, init state and scaler drawn from a seed
 shapes = st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2),
@@ -62,3 +64,46 @@ def test_raise_order_at_doublings_keeps_the_ode(shape, doublings):
     np.testing.assert_array_equal(extract_ode(raised).A, extract_ode(model).A)
     np.testing.assert_array_equal(raised.init_state, model.init_state)
     assert raised.order == model.order
+
+
+def _is_number(text):
+    try:
+        float(text)
+        return True
+    except ValueError:
+        return False
+
+
+# column names a CSV header can carry: no delimiter or blank, and not
+# parseable as a number ("nan", "inf"), which would read as a data row
+names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]{0,7}", fullmatch=True).filter(
+    lambda name: not _is_number(name))
+# finite doubles over the whole range: negative, subnormal, huge, -0.0
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def tables(draw):
+    rows = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    columns = draw(st.lists(names, min_size=n + m, max_size=n + m,
+                            unique=True))
+    values = np.array(draw(st.lists(finite, min_size=rows * (n + m),
+                                    max_size=rows * (n + m))))
+    values = values.reshape(rows, n + m)
+    return Dataset(values[:, :n], values[:, n:], columns[:n], columns[n:])
+
+
+@bounded
+@given(tables())
+def test_csv_save_load_is_bit_identical(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        save_csv(data, path)
+        back = load_csv(path, data.n_targets)
+    assert back.feature_names == data.feature_names
+    assert back.target_names == data.target_names
+    # compare bits, so -0.0 must come back as -0.0
+    assert back.X.tobytes() == data.X.tobytes()
+    assert back.Y.tobytes() == data.Y.tobytes()
