@@ -52,6 +52,11 @@ class MonomialBasis:
         degree_blocks: per degree q = 0..order, the read-only triple
             (degree_slice(q), parent[block], parent_var[block]) that
             evaluation reads, so no call re-slices the tables.
+        deriv_terms: the nonzero exponents in row-major order as four
+            read-only arrays (i, j, lowered[i, j], exponents[i, j]): the
+            terms of the basis derivative the backward pass scatters.
+        jac_rows: per variable j, the read-only array of the monomials
+            that contain z_j (the benchmark's tracer counts them).
     """
 
     dim: int
@@ -62,6 +67,8 @@ class MonomialBasis:
     parent_var: np.ndarray
     lowered: np.ndarray
     degree_blocks: tuple[tuple[slice, np.ndarray, np.ndarray], ...]
+    deriv_terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    jac_rows: tuple[np.ndarray, ...]
 
     @property
     def size(self) -> int:
@@ -73,13 +80,6 @@ class MonomialBasis:
         if not 0 <= q <= self.order:
             raise ValueError(f"degree {q} outside [0, {self.order}]")
         return self.degree_blocks[q][0]
-
-    @property
-    def jac_rows(self) -> tuple[np.ndarray, ...]:
-        """Per variable j, the monomials that contain z_j (derived from
-        exponents; the benchmark's tracer counts them)."""
-        return tuple(np.nonzero(self.exponents[:, j])[0]
-                     for j in range(self.dim))
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +129,11 @@ def build_basis(dim: int, order: int) -> MonomialBasis:
     parent = lowered[np.arange(size), parent_var]
     parent[0] = 0
 
-    for arr in (exponents, degrees, parent, parent_var, lowered):
+    rows, var = np.nonzero(exponents)
+    deriv_terms = (rows, var, lowered[rows, var], exponents[rows, var])
+    jac_rows = tuple(rows[var == j] for j in range(dim))
+    for arr in (exponents, degrees, parent, parent_var, lowered,
+                *deriv_terms, *jac_rows):
         arr.setflags(write=False)
     # slices of read-only tables are read-only views
     bounds = degrees.searchsorted(np.arange(order + 2)).tolist()
@@ -138,7 +142,8 @@ def build_basis(dim: int, order: int) -> MonomialBasis:
         for block in (slice(a, b) for a, b in zip(bounds, bounds[1:])))
     return MonomialBasis(dim=int(dim), order=int(order), exponents=exponents,
                          degrees=degrees, parent=parent, parent_var=parent_var,
-                         lowered=lowered, degree_blocks=degree_blocks)
+                         lowered=lowered, degree_blocks=degree_blocks,
+                         deriv_terms=deriv_terms, jac_rows=jac_rows)
 
 
 def eval_monomials_batch(basis: MonomialBasis, Z: np.ndarray) -> np.ndarray:

@@ -188,14 +188,12 @@ def cmd_predict(args) -> int:
     pred = modelmod.predict(model, X)
     target_names = (extras.get("target_names")
                     or [f"y{j + 1}" for j in range(model.n_targets)])
-    lines = [",".join(target_names)]
-    lines += [",".join(repr(float(v)) for v in row) for row in pred]
-    text = "\n".join(lines) + "\n"
+    chunks = datamod.csv_text_blocks(target_names, pred)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return 0
 
 

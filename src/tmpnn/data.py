@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,29 +119,30 @@ def default_column_names(width: int) -> list[str]:
     return [f"c{i + 1}" for i in range(width)]
 
 
+# Rows parsed, or formatted, as one block: enough that the per-block
+# calls cost nothing next to the per-cell work, few enough that a block's
+# cell strings stay small next to the parsed values.
+_BLOCK_ROWS = 1024
+
+
 def load_table(path) -> tuple[list[str], np.ndarray]:
     """Read a numeric table with auto-detected delimiter and optional header.
 
     The delimiter is semicolon, comma, or whitespace, whichever the first
     line uses.  A first row with non-numeric cells becomes the column
-    names; otherwise columns are named c1, c2, ...
+    names; otherwise columns are named c1, c2, ...  Blank lines are
+    skipped and cells may be padded with blanks; each cell is read by
+    Python's float().  The lines are read and parsed a block at a time,
+    so beyond the result only one block's text is held.
 
     Returns:
         (names, values) with values of shape (rows, columns).
 
     Raises:
         ValueError: empty table, ragged row, missing value, non-numeric
-            cell, or a nan or infinite value (with row and column
-            position).
+            cell, or a nan or infinite value (with the 1-based data row,
+            counted without the header and blank lines, and the column).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in (raw.strip() for raw in fh) if ln]
-    if not lines:
-        raise ValueError(f"{path}: file contains no data")
-
-    delim = _detect_delimiter(lines[0])
-    first = _split_line(lines[0], delim)
-
     def numeric(cells: list[str]) -> bool:
         try:
             [float(c) for c in cells]
@@ -148,37 +150,80 @@ def load_table(path) -> tuple[list[str], np.ndarray]:
         except ValueError:
             return False
 
-    if numeric(first):
-        names = default_column_names(len(first))
-        body = lines
-    else:
-        names = first
-        body = lines[1:]
-    if not body:
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = filter(None, map(str.strip, fh))
+        head = next(lines, None)
+        if head is None:
+            raise ValueError(f"{path}: file contains no data")
+        delim = _detect_delimiter(head)
+        first = _split_line(head, delim)
+        if numeric(first):
+            names = default_column_names(len(first))
+            lines = itertools.chain([head], lines)
+        else:
+            names = first
+        blocks = []
+        n_rows = 0
+        while block := list(itertools.islice(lines, _BLOCK_ROWS)):
+            out = np.empty((len(block), len(names)))
+            if not _parse_block(block, delim, out):
+                _parse_block_by_cell(path, block, delim, names, out, n_rows)
+            blocks.append(out)
+            n_rows += len(block)
+    if not blocks:
         raise ValueError(f"{path}: no data rows after the header")
-
-    width = len(names)
-    rows = np.empty((len(body), width), dtype=np.float64)
-    for r, line in enumerate(body):
-        cells = _split_line(line, delim)
-        if len(cells) != width:
-            raise ValueError(f"{path}: row {r + 1} has {len(cells)} cells, "
-                             f"expected {width}")
-        for c, cell in enumerate(cells):
-            if cell == "":
-                raise ValueError(f"{path}: missing value at row {r + 1}, "
-                                 f"column {names[c]!r}")
-            try:
-                rows[r, c] = float(cell)
-            except ValueError:
-                raise ValueError(f"{path}: non-numeric cell {cell!r} at "
-                                 f"row {r + 1}, column {names[c]!r}") from None
+    rows = np.concatenate(blocks)
     # float() accepts "nan" and "inf"
     if not np.isfinite(rows).all():
         r, c = np.argwhere(~np.isfinite(rows))[0]
         raise ValueError(f"{path}: non-finite value {rows[r, c]} at "
                          f"row {r + 1}, column {names[c]!r}")
     return names, rows
+
+
+def _parse_block(block: list[str], delim: str | None, out: np.ndarray) -> bool:
+    """Parse stripped, non-blank lines into out, one row per line; False
+    when a row has the wrong width or a cell does not convert.  float()
+    ignores the blanks around a cell as str.strip() does, and rejects an
+    empty one."""
+    width = out.shape[1]
+    if delim is None:
+        split = [line.split() for line in block]
+        if any(len(cells) != width for cells in split):
+            return False
+        cells = list(itertools.chain.from_iterable(split))
+    else:
+        if any(line.count(delim) != width - 1 for line in block):
+            return False
+        cells = delim.join(block).split(delim)
+    try:
+        out[:] = np.fromiter(map(float, cells), np.float64,
+                             out.size).reshape(out.shape)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_block_by_cell(path, block: list[str], delim: str | None,
+                         names: list[str], out: np.ndarray, start: int) -> None:
+    """Parse a block cell by cell, raising at its first bad row or cell
+    with the position counted from the first data row of the file."""
+    width = len(names)
+    for i, line in enumerate(block):
+        r = start + i + 1
+        cells = _split_line(line, delim)
+        if len(cells) != width:
+            raise ValueError(f"{path}: row {r} has {len(cells)} cells, "
+                             f"expected {width}")
+        for c, cell in enumerate(cells):
+            if cell == "":
+                raise ValueError(f"{path}: missing value at row {r}, "
+                                 f"column {names[c]!r}")
+            try:
+                out[i, c] = float(cell)
+            except ValueError:
+                raise ValueError(f"{path}: non-numeric cell {cell!r} at "
+                                 f"row {r}, column {names[c]!r}") from None
 
 
 def load_csv(path, target_columns) -> Dataset:
@@ -213,6 +258,18 @@ def load_csv(path, target_columns) -> Dataset:
     f_idx = [i for i in range(width) if i not in t_idx]
     return Dataset(rows[:, f_idx], rows[:, t_idx],
                    [names[i] for i in f_idx], target_names)
+
+
+def csv_text_blocks(names: list[str], values: np.ndarray):
+    """Yield the comma-separated text of a table: the header line, then
+    the rows one block at a time, each row a newline-terminated line of
+    floats in shortest round-trip form."""
+    yield ",".join(names) + "\n"
+    width = values.shape[1]
+    for start in range(0, values.shape[0], _BLOCK_ROWS):
+        cells = map(repr, values[start:start + _BLOCK_ROWS].ravel().tolist())
+        lines = cells if width == 1 else map(",".join, zip(*[cells] * width))
+        yield "\n".join(lines) + "\n"
 
 
 def save_csv(dataset: Dataset, path) -> None:

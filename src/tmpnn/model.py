@@ -20,6 +20,8 @@ rest of the epoch.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,7 +168,9 @@ class TmpnnModel:
 @dataclass
 class TrainConfig:
     """Knobs for fit(), which minimizes MSE with AdamaxState's moment
-    constants.  batch_size may be the string "full"."""
+    constants.  batch_size may be the string "full".  early_stop, when
+    set, is a (patience, min_delta) pair: an int >= 1 and a finite
+    number >= 0."""
 
     epochs: int = 1000
     batch_size: int | str = 256
@@ -184,6 +188,20 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.early_stop is not None:
+            try:
+                patience, min_delta = self.early_stop
+            except (TypeError, ValueError):
+                raise ValueError(f"early_stop must be a (patience, min_delta) "
+                                 f"pair, got {self.early_stop!r}") from None
+            if (not isinstance(patience, numbers.Integral)
+                    or isinstance(patience, bool) or patience < 1):
+                raise ValueError(f"early_stop patience must be an int >= 1, "
+                                 f"got {patience!r}")
+            if (not isinstance(min_delta, numbers.Real)
+                    or not math.isfinite(min_delta) or min_delta < 0):
+                raise ValueError(f"early_stop min_delta must be finite and "
+                                 f">= 0, got {min_delta!r}")
 
 
 @dataclass
@@ -335,11 +353,10 @@ def loss_and_gradient(model: TmpnnModel, batch: Dataset):
     # monomials of degree below k, since d(phi_i)/dz_j = exponents[i, j]
     # * phi[lowered[i, j]]; dividing by z_j is injective, so no (row, j)
     # of C is written twice
-    rows, var = np.nonzero(basis.exponents)
+    rows, var, lowered, exps = basis.deriv_terms
     low = basis.degree_slice(basis.order).start
     C = np.zeros((low, dim, dim))
-    C[basis.lowered[rows, var], var] = (basis.exponents[rows, var, None]
-                                        * delta[rows])
+    C[lowered, var] = exps[:, None] * delta[rows]
     C = C.reshape(low, dim * dim)
 
     d_delta = np.zeros_like(delta)
@@ -391,8 +408,10 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
     the remainder of that epoch; if every batch of an epoch diverges,
     TrainingDivergedError is raised.  A validation or final metric pass
     that diverges records inf instead of failing the run.  With early_stop
-    configured and a validation set given, the weights from the best
-    validation epoch are restored at the end.
+    configured, which needs a validation set (ValueError otherwise),
+    training stops after patience epochs without a validation loss below
+    the best minus min_delta, and the weights from the best validation
+    epoch are restored at the end.
     """
     if config is None:
         config = TrainConfig()
@@ -401,6 +420,8 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
     if valid is not None and (valid.n_features != model.n_features
                               or valid.n_targets != model.n_targets):
         raise ValueError("validation data width does not match the model")
+    if config.early_stop is not None and valid is None:
+        raise ValueError("early_stop needs a validation set (valid)")
 
     if model.standardize and model.scaler is None:
         model.scaler = Scaler.fit(train.X)

@@ -114,6 +114,22 @@ def test_degree_blocks_are_read_only_views_of_the_tables():
                     table[0] = 0
 
 
+def test_derivative_terms_are_read_only_and_match_the_tables():
+    for dim, order in [(1, 1), (2, 2), (3, 4), (6, 3)]:
+        basis = build_basis(dim, order)
+        rows, var = np.nonzero(basis.exponents)
+        expected = (rows, var, basis.lowered[rows, var],
+                    basis.exponents[rows, var])
+        assert len(basis.deriv_terms) == 4
+        for got, want in zip(basis.deriv_terms, expected):
+            np.testing.assert_array_equal(got, want)
+        assert isinstance(basis.jac_rows, tuple)
+        assert len(basis.jac_rows) == dim
+        for table in (*basis.deriv_terms, *basis.jac_rows):
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+
 def test_eval_hand_values():
     basis = build_basis(2, 2)
     np.testing.assert_array_equal(eval_monomials(basis, [2.0, 3.0]),

@@ -7,9 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from tmpnn import load_model, metric_r2, predict
+from tmpnn import TmpnnModel, load_model, metric_r2, predict, save_model
 from tmpnn.cli import main
-from tmpnn.data import load_csv, load_table
+from tmpnn.data import _BLOCK_ROWS, load_csv, load_table
 
 
 def run(*argv):
@@ -122,6 +122,33 @@ def test_predict_matches_columns_by_header(tmp_path):
     expected = outputs["in_order"].read_bytes()
     assert outputs["reordered"].read_bytes() == expected
     assert outputs["headerless"].read_bytes() == expected
+
+
+def test_predict_writes_the_rows_of_in_process_predict_exactly(tmp_path,
+                                                              capsys):
+    # 3 targets and more rows than one output block
+    rng = np.random.default_rng(8)
+    model = TmpnnModel.create(2, 3, n_latent=1, order=2, steps=3)
+    model.map.delta = model.map.delta + rng.normal(0, 0.05,
+                                                   model.map.delta.shape)
+    model_path = tmp_path / "m3.json"
+    save_model(model, model_path, feature_names=["u", "v"],
+               target_names=["ya", "yb", "yc"])
+    X = rng.uniform(-1, 1, size=(_BLOCK_ROWS + 123, 2))
+    X[7] = [-0.0, 5e-324]
+    features = tmp_path / "uv.csv"
+    _write_features(features, ["u", "v"], X)
+
+    loaded, _ = load_model(model_path)
+    expected = "ya,yb,yc\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in predict(loaded, X).tolist())
+    out_path = tmp_path / "pred.csv"
+    assert run("predict", "--model", model_path, "--data", features,
+               "--out", out_path) == 0
+    assert out_path.read_bytes() == expected.encode("utf-8")
+    capsys.readouterr()
+    assert run("predict", "--model", model_path, "--data", features) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_predict_header_mismatch_names_the_columns(tmp_path, trained, capsys):

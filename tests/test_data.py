@@ -1,10 +1,12 @@
 """Dataset container, generators, table loading, splits, and metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from tmpnn.data import (Dataset, gen_friedman1, gen_noisy_linear, load_csv,
-                        load_table, metric_mse, metric_r2, save_csv,
+from tmpnn.data import (_BLOCK_ROWS, Dataset, gen_friedman1, gen_noisy_linear,
+                        load_csv, load_table, metric_mse, metric_r2, save_csv,
                         split_quantile, split_random)
 
 
@@ -119,6 +121,67 @@ def test_load_table_errors_carry_positions(tmp_path, text, fragment):
     path.write_text(text)
     with pytest.raises(ValueError, match=fragment):
         load_table(path)
+
+
+# rows of a file longer than two parse blocks, the last block partial
+LONG_ROWS = 2 * _BLOCK_ROWS + 37
+
+
+def _long_table(tmp_path, delim=",", bad_row=None, bad_line=""):
+    """A header plus LONG_ROWS data rows of 3 cells, with a blank line
+    after every 1000th; the 1-based data row bad_row is bad_line."""
+    rows = np.random.default_rng(3).normal(size=(LONG_ROWS, 3))
+    lines = [delim.join(["a", "b", "c"])]
+    for r, row in enumerate(rows.tolist(), start=1):
+        lines.append(bad_line if r == bad_row
+                     else delim.join(map(repr, row)))
+        if r % 1000 == 0:
+            lines.append("")
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path, rows
+
+
+@pytest.mark.parametrize("delim", [",", ";", " "])
+def test_load_table_reads_many_blocks_exactly(tmp_path, delim):
+    path, rows = _long_table(tmp_path, delim)
+    names, got = load_table(path)
+    assert names == ["a", "b", "c"]
+    assert got.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("bad_line,message", [
+    ("1.0,2.0", "row {r} has 2 cells, expected 3"),
+    ("1.0,,2.0", "missing value at row {r}, column 'b'"),
+    ("1.0,2.0,x7", "non-numeric cell 'x7' at row {r}, column 'c'"),
+    ("1.0,nan,2.0", "non-finite value nan at row {r}, column 'b'"),
+])
+def test_load_table_errors_in_the_last_block_name_the_file_row(
+        tmp_path, bad_line, message):
+    # the bad row sits in the last block, behind two clean ones
+    bad_row = LONG_ROWS - 5
+    path, _ = _long_table(tmp_path, bad_row=bad_row, bad_line=bad_line)
+    with pytest.raises(ValueError) as err:
+        load_table(path)
+    assert str(err.value) == f"{path}: " + message.format(r=bad_row)
+
+
+def test_load_table_holds_one_block_of_text_at_a_time(tmp_path):
+    # 50k rows: 4.6 MiB of text, 1.9 MiB of values.  Beyond the values
+    # and the blocks they are joined from, only a block's lines and cells
+    # may be alive; a reader that keeps every line peaks near 9.8 MiB
+    rows = np.random.default_rng(5).uniform(size=(50_000, 5))
+    path = tmp_path / "big.csv"
+    path.write_text("a,b,c,d,e\n" + "\n".join(
+        ",".join(map(repr, row)) for row in rows.tolist()) + "\n")
+    tracemalloc.start()
+    try:
+        _, got = load_table(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == rows.tobytes()
+    assert peak < 2 * got.nbytes + 2 * 2 ** 20
 
 
 def test_load_csv_trailing_count_and_named_targets(tmp_path):

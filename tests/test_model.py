@@ -393,6 +393,38 @@ def test_validation_errors():
                    map=identity_weights(3, 2), init_state=np.zeros(2))
 
 
+@pytest.mark.parametrize("early_stop,fragment", [
+    ((0, 0.0), "patience must be an int >= 1"),
+    ((2.0, 0.0), "patience must be an int >= 1"),
+    ((True, 0.0), "patience must be an int >= 1"),
+    ((5, -0.1), "min_delta must be finite and >= 0"),
+    ((5, float("nan")), "min_delta must be finite and >= 0"),
+    ((5, float("inf")), "min_delta must be finite and >= 0"),
+    ((5, "0"), "min_delta must be finite and >= 0"),
+    ((5,), "pair"),
+    (5, "pair"),
+])
+def test_train_config_rejects_a_malformed_early_stop(early_stop, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        TrainConfig(early_stop=early_stop)
+
+
+def test_train_config_accepts_a_well_formed_early_stop():
+    assert TrainConfig(early_stop=(1, 0)).early_stop == (1, 0)
+    assert TrainConfig(early_stop=(np.int64(3), 1e-6)).early_stop[0] == 3
+
+
+def test_early_stop_without_a_validation_set_is_an_error():
+    # it used to train every epoch and never stop
+    model = TmpnnModel.create(1, 1, order=2, steps=2)
+    data = Dataset(np.linspace(-1, 1, 8)[:, None], np.zeros((8, 1)),
+                   ["x"], ["y"])
+    before = model.map.delta.copy()
+    with pytest.raises(ValueError, match="validation set"):
+        fit(model, data, config=TrainConfig(epochs=3, early_stop=(2, 0.0)))
+    np.testing.assert_array_equal(model.map.delta, before)
+
+
 def test_order_is_read_from_the_map():
     # one source for the order: a model cannot be built with an order its
     # map does not have, so save_model cannot write a file load_model rejects

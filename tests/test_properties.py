@@ -1,17 +1,20 @@
 """Property tests of the exact round trips: JSON save/load, ODE
 extract/rebuild and raise-order at step doublings over random model
-shapes, and CSV save/load over random tables."""
+shapes, CSV save/load over random tables, and table parsing against a
+per-cell float() reference."""
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tmpnn.data
 from tmpnn import (Dataset, Scaler, TmpnnModel, extract_ode, load_csv,
-                   load_model, predict, raise_order, rebuild_map, save_csv,
-                   save_model)
+                   load_model, load_table, predict, raise_order, rebuild_map,
+                   save_csv, save_model)
 
 # (n, m, l, k, p) with the weights, init state and scaler drawn from a seed
 shapes = st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2),
@@ -107,3 +110,62 @@ def test_csv_save_load_is_bit_identical(data):
     # compare bits, so -0.0 must come back as -0.0
     assert back.X.tobytes() == data.X.tobytes()
     assert back.Y.tobytes() == data.Y.tobytes()
+
+
+# the spellings of a finite number that float() reads
+number_texts = st.one_of(
+    finite.map(repr), finite.map("{:.6e}".format), finite.map("{:g}".format),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.integers(0, 10 ** 4).map("+{:_}".format),
+    st.sampled_from(["-0", "-0.0", "+.5", "1.", "1E3", "2e-308", "5e-324"]))
+blanks = st.text(" \t", max_size=3)
+
+
+@st.composite
+def text_tables(draw):
+    """(text, names, cells): the text of a table with a random delimiter,
+    padding, blank lines, line ends and optional header, the names
+    load_table must return and the cell texts of its data rows."""
+    rows = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 4))
+    delim = draw(st.sampled_from([",", ";", None]))
+    cells = [[draw(number_texts) for _ in range(width)] for _ in range(rows)]
+    header = draw(st.booleans())
+    columns = (draw(st.lists(names, min_size=width, max_size=width,
+                             unique=True))
+               if header else [f"c{i + 1}" for i in range(width)])
+
+    def line(items):
+        if delim is None:
+            seps = [draw(blanks) + draw(st.sampled_from(" \t"))
+                    for _ in items[1:]]
+        else:
+            seps = [draw(blanks) + delim + draw(blanks) for _ in items[1:]]
+        out = draw(blanks) + items[0]
+        for sep, item in zip(seps, items[1:]):
+            out += sep + item
+        return out + draw(blanks)
+
+    lines = ([line(columns)] if header else []) + [line(row) for row in cells]
+    text = ""
+    for ln in lines:
+        text += "".join(draw(blanks) + "\n"
+                        for _ in range(draw(st.integers(0, 1))))
+        text += ln + draw(st.sampled_from(["\n", "\r\n"]))
+    return text, columns, cells
+
+
+@bounded
+@given(text_tables(), st.integers(1, 5))
+def test_load_table_matches_a_per_cell_float_reference(table, block_rows):
+    text, names, cells = table
+    want = np.array([[float(cell) for cell in row] for row in cells])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.txt"
+        path.write_bytes(text.encode("utf-8"))
+        # small blocks, so that tables of a few rows span several
+        with mock.patch.object(tmpnn.data, "_BLOCK_ROWS", block_rows):
+            got_names, values = load_table(path)
+    assert got_names == names
+    assert values.shape == want.shape
+    assert values.tobytes() == want.tobytes()
