@@ -14,10 +14,11 @@ depends on this ordering, so it is part of the package contract:
 
 For d=2, k=2 the order is [1, z1, z2, z1^2, z1*z2, z2^2].
 
-Evaluation is feature-major: the monomials are built as (size, N) rows,
-so each degree is one product of contiguous rows (parent monomials of
-one degree less times one variable each), and the caller gets the
-(N, size) transposed view.
+Evaluation is feature-major: the monomials are built as (size, N) rows.
+One gather puts each monomial's first variable in its row, which
+completes degree 1, and each higher degree is then one in-place product
+of contiguous rows with the parent monomials of one degree less; the
+caller gets the (N, size) transposed view.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ class MonomialBasis:
             elsewhere, so d(monomial i)/dz_j = exponents[i, j] * monomial
             lowered[i, j].  The derivative of the whole basis is thus a
             basis of one degree less, indexed by this one table.
-        degree_blocks: per degree q = 0..order, the read-only triple
-            (degree_slice(q), parent[block], parent_var[block]) that
-            evaluation reads, so no call re-slices the tables.
+        degree_blocks: per degree q = 0..order, the read-only pair
+            (degree_slice(q), parent[block]) that evaluation reads, so
+            no call re-slices the tables.
         deriv_terms: the nonzero exponents in row-major order as four
             read-only arrays (i, j, lowered[i, j], exponents[i, j]): the
             terms of the basis derivative the backward pass scatters.
@@ -66,7 +67,7 @@ class MonomialBasis:
     parent: np.ndarray
     parent_var: np.ndarray
     lowered: np.ndarray
-    degree_blocks: tuple[tuple[slice, np.ndarray, np.ndarray], ...]
+    degree_blocks: tuple[tuple[slice, np.ndarray], ...]
     deriv_terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     jac_rows: tuple[np.ndarray, ...]
 
@@ -138,7 +139,7 @@ def build_basis(dim: int, order: int) -> MonomialBasis:
     # slices of read-only tables are read-only views
     bounds = degrees.searchsorted(np.arange(order + 2)).tolist()
     degree_blocks = tuple(
-        (block, parent[block], parent_var[block])
+        (block, parent[block])
         for block in (slice(a, b) for a, b in zip(bounds, bounds[1:])))
     return MonomialBasis(dim=int(dim), order=int(order), exponents=exponents,
                          degrees=degrees, parent=parent, parent_var=parent_var,
@@ -146,7 +147,8 @@ def build_basis(dim: int, order: int) -> MonomialBasis:
                          deriv_terms=deriv_terms, jac_rows=jac_rows)
 
 
-def eval_monomials_batch(basis: MonomialBasis, Z: np.ndarray) -> np.ndarray:
+def eval_monomials_batch(basis: MonomialBasis, Z: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate all monomials at each row of Z.
 
     Args:
@@ -154,15 +156,22 @@ def eval_monomials_batch(basis: MonomialBasis, Z: np.ndarray) -> np.ndarray:
         Z: (N, dim) array of state vectors.  Nothing is checked here:
             the model validates its inputs where they enter, and overflow
             between layers surfaces as a DivergenceError there.
+        out: optional (size, N) float64 buffer to build the monomials
+            in, such as a leading-column view of a wider one; a new one
+            is allocated when omitted.
 
     Returns:
         (N, size) array; column i holds monomial i at every row.  It is
-        the transposed view of a C-ordered (size, N) array: each monomial
-        is one contiguous row there, so each degree is one product.
+        the transposed view of the (size, N) array (out when given):
+        each monomial is one contiguous row there, so each degree is one
+        product.  The values do not depend on out.
     """
-    phi = np.empty((basis.size, Z.shape[0]), dtype=np.float64)
+    phi = np.empty((basis.size, Z.shape[0])) if out is None else out
+    # indices are valid by construction; "clip" skips numpy's buffering
+    np.take(Z.T, basis.parent_var, axis=0, out=phi, mode="clip")
     phi[0] = 1.0
-    ZT = Z.T
-    for block, parent, var in basis.degree_blocks[1:]:
-        np.multiply(phi[parent], ZT[var], out=phi[block])
+    # a degree-1 monomial is its variable times the constant 1, exactly;
+    # parents have lower degree, so each product reads finished rows
+    for block, parent in basis.degree_blocks[2:]:
+        np.multiply(phi[block], phi[parent], out=phi[block])
     return phi.T

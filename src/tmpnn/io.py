@@ -11,6 +11,8 @@ environment details are recorded; equal models serialize to equal bytes.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 
 import numpy as np
 
@@ -78,7 +80,10 @@ def model_from_dict(doc: dict) -> tuple[TmpnnModel, dict]:
     extras carries feature_names, target_names and training metadata.
 
     Raises:
-        ValueError: version mismatch or any inconsistent dimension.
+        ValueError: version mismatch, a missing key, a dimension that is
+            not an integer (bool and fractional values included) or out
+            of range, a malformed scaler, or any inconsistent dimension;
+            the message names the key.
     """
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
@@ -87,26 +92,30 @@ def model_from_dict(doc: dict) -> tuple[TmpnnModel, dict]:
     if doc.get("weights_form") != WEIGHTS_FORM:
         raise ValueError(f"unknown weights_form {doc.get('weights_form')!r}")
 
-    n = int(doc["n_features"])
-    m = int(doc["n_targets"])
-    latent = int(doc["n_latent"])
-    order = int(doc["order"])
-    steps = int(doc["steps"])
-    if n < 1 or m < 1 or latent < 0 or order < 1 or steps < 1:
-        raise ValueError("model file has non-positive dimensions")
+    n, m, latent, order, steps = (
+        _dimension(doc, key, low) for key, low in
+        (("n_features", 1), ("n_targets", 1), ("n_latent", 0),
+         ("order", 1), ("steps", 1)))
 
-    basis = build_basis(n + m + latent, order)
-    delta = np.asarray(doc["weights"], dtype=np.float64)
-    if delta.shape != (basis.size, basis.dim):
+    # the shape is checked before the basis is enumerated, so absurd
+    # dimensions fail here instead of building a huge table
+    dim = n + m + latent
+    delta = np.asarray(_required(doc, "weights"), dtype=np.float64)
+    if delta.shape != (math.comb(dim + order, order), dim):
         raise ValueError(f"weight matrix shape {delta.shape} does not match "
-                         f"basis {(basis.size, basis.dim)}")
-    init_state = np.asarray(doc["init_state"], dtype=np.float64)
+                         f"basis {(math.comb(dim + order, order), dim)}")
+    basis = build_basis(dim, order)
+    init_state = np.asarray(_required(doc, "init_state"), dtype=np.float64)
     if init_state.shape != (m + latent,):
         raise ValueError(f"init_state length {init_state.shape[0]} must be "
                          f"{m + latent}")
 
     scaler = None
     if doc.get("scaler") is not None:
+        if not (isinstance(doc["scaler"], dict)
+                and {"mean", "scale"} <= doc["scaler"].keys()):
+            raise ValueError("model file key 'scaler' must be null or an "
+                             "object with 'mean' and 'scale'")
         mean = np.asarray(doc["scaler"]["mean"], dtype=np.float64)
         scale = np.asarray(doc["scaler"]["scale"], dtype=np.float64)
         if mean.shape != (n,) or scale.shape != (n,):
@@ -128,6 +137,26 @@ def model_from_dict(doc: dict) -> tuple[TmpnnModel, dict]:
         "training": doc.get("training"),
     }
     return model, extras
+
+
+def _required(doc: dict, key: str):
+    if key not in doc:
+        raise ValueError(f"model file is missing {key!r}")
+    return doc[key]
+
+
+def _dimension(doc: dict, key: str, low: int) -> int:
+    """doc[key] as an exact int >= low; JSON's 2.0 reads as 2."""
+    value = _required(doc, key)
+    integral = (isinstance(value, numbers.Integral)
+                or (isinstance(value, float) and value.is_integer()))
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"model file key {key!r} must be an integer, "
+                         f"got {value!r}")
+    if value < low:
+        raise ValueError(f"model file has non-positive dimensions: {key!r} "
+                         f"is {value!r}, below {low}")
+    return int(value)
 
 
 def load_model(path) -> tuple[TmpnnModel, dict]:

@@ -232,36 +232,53 @@ def _block_rows(basis: MonomialBasis) -> int:
     return max(16, _PHI_BLOCK_BYTES // (8 * basis.size))
 
 
+def _leading(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The C-contiguous view of a flat buffer's first prod(shape) entries:
+    laid out as a fresh array of that shape, so products over it round as
+    they would over a fresh one."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
 def _forward_states(model: TmpnnModel, Z0: np.ndarray,
-                    keep_phis: bool = False, first_row: int = 0):
+                    out: np.ndarray | None = None, phis=None,
+                    first_row: int = 0) -> list[np.ndarray]:
     """Run the p map applications on a batch of start states.
 
-    Returns (states, phis): states is a list of p+1 (N, dim) arrays and
-    phis the monomial matrices of the first p states when requested.
-    Raises DivergenceError with the step and first offending row when a
-    state goes non-finite; first_row is added to the reported row, for a
-    batch that is a block of a larger input.
+    Returns the list of p+1 (N, dim) states, Z0 first; the other p are
+    views of out, a (p, N, dim) buffer, when given.  phis[t] is the
+    (size, N) buffer that receives the monomial matrix of states[t]; when
+    phis is omitted, one fresh buffer serves every step.  Callers run
+    this in an errstate scope that ignores overflow and invalid values.
+
+    Only the final state is checked: a non-finite entry stays non-finite
+    under Z + phi @ delta, so that one test finds every pass that
+    diverges.  Only a diverged pass scans its states, for the first map
+    application that made an entry non-finite, and raises DivergenceError
+    with that step, the first row non-finite after it (plus first_row,
+    for a batch that is a block of a larger input) and a copy of that
+    row's input state.
     """
     delta = model.map.delta
     basis = model.basis
+    if out is None:
+        out = np.empty((model.steps,) + Z0.shape)
+    if phis is None:
+        phis = [np.empty((basis.size, Z0.shape[0]))] * model.steps
     states = [Z0]
-    phis = []
-    Z = Z0
     for t in range(model.steps):
-        # overflow surfaces as a structured DivergenceError, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            phi = eval_monomials_batch(basis, Z)
-            Z = Z + phi @ delta
-        if not np.all(np.isfinite(Z)):
-            row = int(np.where(~np.isfinite(Z).all(axis=1))[0][0])
-            raise DivergenceError(
-                f"state became non-finite at map application {t + 1} "
-                f"(batch row {first_row + row})", step=t + 1,
-                row=first_row + row, state=states[-1][row])
-        if keep_phis:
-            phis.append(phi)
+        phi = eval_monomials_batch(basis, states[t], phis[t])
+        Z = np.matmul(phi, delta, out=out[t])
+        Z += states[t]
         states.append(Z)
-    return states, phis
+    if np.isfinite(states[-1]).all():
+        return states
+    step = next(t for t in range(1, len(states))
+                if not np.isfinite(states[t]).all())
+    row = int(np.flatnonzero(~np.isfinite(states[step]).all(axis=1))[0])
+    raise DivergenceError(
+        f"state became non-finite at map application {step} "
+        f"(batch row {first_row + row})", step=step,
+        row=first_row + row, state=states[step - 1][row].copy())
 
 
 def forward(model: TmpnnModel, x) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -283,7 +300,8 @@ def forward(model: TmpnnModel, x) -> tuple[np.ndarray, list[np.ndarray]]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("forward takes a single feature vector")
-    states, _ = _forward_states(model, model.initial_state(x[None, :]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = _forward_states(model, model.initial_state(x[None, :]))
     n, m = model.n_features, model.n_targets
     prediction = states[-1][0, n:n + m].copy()
     return prediction, [s[0] for s in states]
@@ -305,19 +323,105 @@ def predict(model: TmpnnModel, X) -> np.ndarray:
     DivergenceError, carrying step, row and state, when a row overflows.
     When rows in several blocks overflow, the error is the first block's
     (in row order): its earliest overflowing step, and the first row of
-    that block to overflow there; row is the index into X.
+    that block to overflow there; row is the index into X.  A block is
+    checked once, after its last map application (see _forward_states),
+    which reports the same error as a check after every application.
     """
     Z0 = model.initial_state(X)
     n, m = model.n_features, model.n_targets
+    size = model.basis.size
     N = Z0.shape[0]
     out = np.empty((N, m))
     # even blocks: no block has a single row unless N == 1
     n_blocks = max(1, -(-N // _block_rows(model.basis)))
     bounds = [N * i // n_blocks for i in range(n_blocks + 1)]
-    for start, stop in zip(bounds, bounds[1:]):
-        states, _ = _forward_states(model, Z0[start:stop], first_row=start)
-        out[start:stop] = states[-1][:, n:n + m]
+    longest = -(-N // n_blocks)
+    after = np.empty((model.steps, longest, model.dim))
+    phi = np.empty(size * longest)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, stop in zip(bounds, bounds[1:]):
+            # predict keeps no monomial matrix: one buffer serves every step
+            phis = [_leading(phi, size, stop - start)] * model.steps
+            states = _forward_states(model, Z0[start:stop],
+                                     after[:, :stop - start], phis,
+                                     first_row=start)
+            out[start:stop] = states[-1][:, n:n + m]
     return out
+
+
+class _Workspace:
+    """The arrays of a training step on up to rows rows.
+
+    fit() allocates one per call, so its steps fault no fresh pages in;
+    a shorter batch uses leading views.  It holds the start states and
+    the p after them, the p monomial matrices the backward pass reads,
+    the layer Jacobians, the targets, and the Jacobian coefficient
+    table C.
+    """
+
+    def __init__(self, model: TmpnnModel, rows: int):
+        basis, dim = model.basis, model.dim
+        self.z0 = np.empty((rows, dim))
+        self.states = np.empty((model.steps, rows, dim))
+        self.phis = np.empty(model.steps * basis.size * rows)
+        self.jac = np.empty(rows * dim * dim)
+        self.Y = np.empty((rows, model.n_targets))
+        # the scatter in _step writes the same positions every time, and
+        # dividing by z_j is injective, so no (row, j) of C is written twice
+        low = basis.degree_slice(basis.order).start
+        self.C = np.zeros((low, dim, dim))
+
+
+def _step(model: TmpnnModel, ws: _Workspace, rows: int):
+    """loss_and_gradient of the batch whose start states and targets are
+    the first rows of ws.z0 and ws.Y."""
+    n, m, dim = model.n_features, model.n_targets, model.dim
+    basis = model.basis
+    delta = model.map.delta
+    phis = _leading(ws.phis, model.steps, basis.size, rows)
+    low = ws.C.shape[0]
+    terms, var, lowered, exps = basis.deriv_terms
+    # overflow surfaces as a DivergenceError from the forward pass, or as
+    # a non-finite loss or gradient that fit() skips as the same event
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = _forward_states(model, ws.z0[:rows], ws.states[:, :rows],
+                                 phis)
+
+        resid = states[-1][:, n:n + m] - ws.Y[:rows]
+        loss = float(np.mean(resid ** 2))
+
+        G = np.zeros((rows, dim))
+        G[:, n:n + m] = (2.0 / resid.size) * resid
+
+        # the layer Jacobian I + (dphi/dZ)^T delta is a polynomial in the
+        # monomials of degree below k, since d(phi_i)/dz_j = exponents[i, j]
+        # * phi[lowered[i, j]]
+        ws.C[lowered, var] = exps[:, None] * delta[terms]
+        C = ws.C.reshape(low, dim * dim)
+        J = _leading(ws.jac, rows, dim * dim)
+
+        d_delta = np.zeros_like(delta)
+        for t in range(model.steps - 1, -1, -1):
+            phi = phis[t]
+            d_delta += phi @ G
+            # G_0 is read only as the init_state gradient
+            if t > 0 or model.init_trainable:
+                np.matmul(phi.T[:, :low], C, out=J)
+                G = G + np.einsum("njo,no->nj", J.reshape(-1, dim, dim), G)
+
+        if model.reg_l1 > 0 or model.reg_l2 > 0:
+            W = model.map.W
+            if model.reg_l1 > 0:
+                loss += model.reg_l1 * float(np.sum(np.abs(W)))
+                d_delta += model.reg_l1 * np.sign(W)
+            if model.reg_l2 > 0:
+                loss += model.reg_l2 * float(np.sum(W ** 2))
+                d_delta += 2.0 * model.reg_l2 * W
+
+    grads = {"delta": d_delta}
+    if model.init_trainable:
+        grads["init_state"] = G[:, n:].sum(axis=0)
+    return loss, grads
 
 
 def loss_and_gradient(model: TmpnnModel, batch: Dataset):
@@ -325,7 +429,7 @@ def loss_and_gradient(model: TmpnnModel, batch: Dataset):
 
     The data term is the mean squared error over every target entry; L1/L2
     penalties apply to the literal coefficient matrix, identity diagonal
-    included.
+    included.  This is the step fit() takes, on a workspace of its own.
 
     Returns:
         (loss, gradients) where gradients is a dict with key "delta"
@@ -337,52 +441,10 @@ def loss_and_gradient(model: TmpnnModel, batch: Dataset):
     """
     if batch.n_features != model.n_features or batch.n_targets != model.n_targets:
         raise ValueError("batch width does not match the model")
-    n, m, dim = model.n_features, model.n_targets, model.dim
-    basis = model.basis
-    delta = model.map.delta
-    Z0 = model.initial_state(batch.X)
-    states, phis = _forward_states(model, Z0, keep_phis=True)
-
-    resid = states[-1][:, n:n + m] - batch.Y
-    loss = float(np.mean(resid ** 2))
-
-    G = np.zeros_like(Z0)
-    G[:, n:n + m] = (2.0 / resid.size) * resid
-
-    # the layer Jacobian I + (dphi/dZ)^T delta is a polynomial in the
-    # monomials of degree below k, since d(phi_i)/dz_j = exponents[i, j]
-    # * phi[lowered[i, j]]; dividing by z_j is injective, so no (row, j)
-    # of C is written twice
-    rows, var, lowered, exps = basis.deriv_terms
-    low = basis.degree_slice(basis.order).start
-    C = np.zeros((low, dim, dim))
-    C[lowered, var] = exps[:, None] * delta[rows]
-    C = C.reshape(low, dim * dim)
-
-    d_delta = np.zeros_like(delta)
-    # near-divergent batches may overflow here; fit() skips such steps
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(model.steps - 1, -1, -1):
-            phi = phis[t]
-            d_delta += phi.T @ G
-            # G_0 is read only as the init_state gradient
-            if t > 0 or model.init_trainable:
-                J = (phi[:, :low] @ C).reshape(-1, dim, dim)
-                G = G + np.einsum("njo,no->nj", J, G)
-
-    if model.reg_l1 > 0 or model.reg_l2 > 0:
-        W = model.map.W
-        if model.reg_l1 > 0:
-            loss += model.reg_l1 * float(np.sum(np.abs(W)))
-            d_delta += model.reg_l1 * np.sign(W)
-        if model.reg_l2 > 0:
-            loss += model.reg_l2 * float(np.sum(W ** 2))
-            d_delta += 2.0 * model.reg_l2 * W
-
-    grads = {"delta": d_delta}
-    if model.init_trainable:
-        grads["init_state"] = G[:, n:].sum(axis=0)
-    return loss, grads
+    ws = _Workspace(model, batch.n_samples)
+    ws.z0[:] = model.initial_state(batch.X)
+    ws.Y[:] = batch.Y
+    return _step(model, ws, batch.n_samples)
 
 
 def _metric_mse_or_inf(model: TmpnnModel, data: Dataset) -> float:
@@ -412,6 +474,12 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
     training stops after patience epochs without a validation loss below
     the best minus min_delta, and the weights from the best validation
     epoch are restored at the end.
+
+    The training features are checked and scaled once per call, and the
+    arrays of a step (see _Workspace) are allocated once per call for
+    the largest batch; each step gathers its rows into them.  The
+    result is the one a loop of loss_and_gradient and adamax_step over
+    the same batches gives, to the bit.
     """
     if config is None:
         config = TrainConfig()
@@ -425,9 +493,12 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
 
     if model.standardize and model.scaler is None:
         model.scaler = Scaler.fit(train.X)
+    # checked and scaled once; the init_state slots are rewritten per step
+    Z0 = model.initial_state(train.X)
 
     n_rows = train.n_samples
     batch = n_rows if config.batch_size == "full" else min(int(config.batch_size), n_rows)
+    ws = _Workspace(model, batch)
     rng = np.random.default_rng(config.shuffle_seed)
     opt = AdamaxState.init(
         [model.map.delta] + ([model.init_state] if model.init_trainable else []),
@@ -444,8 +515,13 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
         losses = []
         for start in range(0, n_rows, batch):
             idx = perm[start:start + batch]
+            z0 = ws.z0[:len(idx)]
+            np.take(Z0, idx, axis=0, out=z0)
+            # init_trainable moves the start slots between steps
+            z0[:, model.n_features:] = model.init_state
+            np.take(train.Y, idx, axis=0, out=ws.Y[:len(idx)])
             try:
-                loss, grads = loss_and_gradient(model, train.take(idx))
+                loss, grads = _step(model, ws, len(idx))
             except DivergenceError:
                 report.diverged_steps += 1
                 lr *= 0.5

@@ -192,9 +192,11 @@ def integrate_reference(ode: OdeSystem, z0, n_steps: int = 1000,
     if z.shape != (ode.dim,):
         raise ValueError(f"z0 must have length {ode.dim}")
     A = ode.A
+    # one monomial buffer serves all 4 * n_steps field evaluations
+    phi = np.empty((ode.basis.size, 1))
 
     def field(state: np.ndarray) -> np.ndarray:
-        return eval_monomials_batch(ode.basis, state[None, :])[0] @ A
+        return eval_monomials_batch(ode.basis, state[None, :], phi)[0] @ A
 
     h = t_end / n_steps
     # overflow surfaces as a structured DivergenceError, not a warning
@@ -205,7 +207,7 @@ def integrate_reference(ode: OdeSystem, z0, n_steps: int = 1000,
             k3 = field(z + 0.5 * h * k2)
             k4 = field(z + h * k3)
             z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(z)):
+            if not np.isfinite(z).all():
                 raise DivergenceError(
                     f"reference integration diverged at step {step + 1}",
                     step=step + 1, state=z)

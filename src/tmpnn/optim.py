@@ -59,7 +59,7 @@ def adamax_step(state: AdamaxState, params: list[np.ndarray],
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match "
                              f"parameter shape {p.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError("gradient contains non-finite entries")
 
     alpha = state.alpha if lr is None else lr

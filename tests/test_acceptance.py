@@ -289,8 +289,8 @@ def test_09_euler_convergence():
 
     Z0 = model.initial_state(data.X[:50])
     ref = np.array([integrate_reference(ode, z, 1000) for z in Z0])
-    err_p = np.linalg.norm(_forward_states(model, Z0)[0][-1] - ref, axis=1)
-    err_2p = np.linalg.norm(_forward_states(raised, Z0)[0][-1] - ref, axis=1)
+    err_p = np.linalg.norm(_forward_states(model, Z0)[-1] - ref, axis=1)
+    err_2p = np.linalg.norm(_forward_states(raised, Z0)[-1] - ref, axis=1)
     ratio = float(err_p.mean() / err_2p.mean())
     _check(9, "euler-convergence", 1.5 <= ratio <= 3.0,
            f"err(p)/err(2p) over 50 probes: {ratio:.3f}, need in [1.5, 3.0]")

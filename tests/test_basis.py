@@ -103,15 +103,13 @@ def test_degree_blocks_are_read_only_views_of_the_tables():
     for dim, order in [(1, 1), (2, 2), (3, 4), (6, 3)]:
         basis = build_basis(dim, order)
         assert len(basis.degree_blocks) == order + 1
-        for q, (block, parent, var) in enumerate(basis.degree_blocks):
+        for q, (block, parent) in enumerate(basis.degree_blocks):
             assert block == basis.degree_slice(q)
             start, stop = basis.degrees.searchsorted((q, q + 1))
             assert (block.start, block.stop) == (start, stop)
             np.testing.assert_array_equal(parent, basis.parent[block])
-            np.testing.assert_array_equal(var, basis.parent_var[block])
-            for table in (parent, var):
-                with pytest.raises(ValueError):
-                    table[0] = 0
+            with pytest.raises(ValueError):
+                parent[0] = 0
 
 
 def test_derivative_terms_are_read_only_and_match_the_tables():
@@ -173,6 +171,23 @@ def test_eval_agrees_with_literal_kronecker_powers():
                         exp[i] += 1
                     np.testing.assert_allclose(value, phi[index_of[tuple(exp)]],
                                                rtol=1e-12)
+
+
+def test_eval_into_a_buffer_returns_a_view_of_it_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for dim, order in [(1, 1), (2, 2), (6, 3), (14, 2)]:
+        basis = build_basis(dim, order)
+        for N in (1, 2, 781):
+            Z = rng.normal(0.0, 2.0, size=(N, dim))
+            want = eval_monomials_batch(basis, Z)
+            # an exact buffer, and the leading columns of a wider one
+            for buf in (np.full((basis.size, N), np.nan),
+                        np.full((basis.size, N + 5), np.nan)[:, :N]):
+                got = eval_monomials_batch(basis, Z, out=buf)
+                assert got.shape == (N, basis.size)
+                assert np.shares_memory(got, buf)
+                np.testing.assert_array_equal(got, buf.T)
+                assert got.tobytes() == want.tobytes()
 
 
 def test_eval_rejects_bad_input(monkeypatch):

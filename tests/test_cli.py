@@ -308,3 +308,29 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "train" in proc.stdout
+
+
+@pytest.mark.parametrize("key,value,fragment", [
+    ("n_features", None, "missing 'n_features'"),
+    ("steps", [1], "'steps' must be an integer"),
+    ("steps", 2.7, "'steps' must be an integer"),
+    ("steps", True, "'steps' must be an integer"),
+    ("scaler", "x", "'scaler' must be null or an object"),
+])
+def test_malformed_model_file_is_one_error_line(tmp_path, trained, capsys,
+                                                key, value, fragment):
+    model_path, data_csv = trained
+    doc = json.loads(model_path.read_text())
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("predict", "--model", bad, "--data", data_csv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert fragment in lines[0] and "Traceback" not in captured.err

@@ -117,3 +117,25 @@ def test_nan_weights_refuse_to_serialize(tmp_path):
     model.map.delta[0, 0] = np.inf
     with pytest.raises(ValueError):
         save_model(model, tmp_path / "bad.json")
+
+
+def test_dimensions_are_exact_integers():
+    model = make_model()
+    doc = model_to_dict(model)
+    doc["order"] = 2.0  # JSON writers may spell an integer this way
+    back, _ = model_from_dict(doc)
+    assert back.order == 2 and isinstance(back.steps, int)
+    for key, value in (("n_latent", 1.5), ("order", False), ("steps", "3")):
+        doc = model_to_dict(model)
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
+            model_from_dict(doc)
+
+
+def test_absurd_dimensions_fail_before_the_basis_is_built():
+    # 10**9 features would enumerate ~10**26 monomials; the weight shape
+    # check comes first
+    doc = model_to_dict(make_model())
+    doc["n_features"] = 10 ** 9
+    with pytest.raises(ValueError, match="shape"):
+        model_from_dict(doc)

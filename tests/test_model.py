@@ -11,6 +11,7 @@ from tmpnn import (Dataset, DivergenceError, Scaler, TmpnnModel, TrainConfig,
                    loss_and_gradient, metric_mse, predict)
 from tmpnn.basis import eval_monomials_batch
 from tmpnn.model import _block_rows, _forward_states
+from tmpnn.optim import AdamaxState, adamax_step
 
 
 def random_model(rng, n, m, l=0, k=2, p=3, scale=0.1, **kw):
@@ -85,7 +86,7 @@ def test_chunked_predict_equals_one_unchunked_pass():
         C = _block_rows(model.basis)
         for N in (1, 2, C - 1, C, C + 1, 2 * C + 1):
             X = rng.uniform(-1.0, 1.0, size=(N, n))
-            states, _ = _forward_states(model, model.initial_state(X))
+            states = _forward_states(model, model.initial_state(X))
             np.testing.assert_array_equal(predict(model, X),
                                           states[-1][:, n:n + m])
 
@@ -98,7 +99,7 @@ def test_chunked_predict_of_a_basis_wider_than_a_gemm_block():
     model = random_model(rng, 10, 2, l=2, k=3, p=5, scale=0.002)
     C = _block_rows(model.basis)
     X = rng.uniform(-1.0, 1.0, size=(2 * C + 1, 10))
-    states, _ = _forward_states(model, model.initial_state(X))
+    states = _forward_states(model, model.initial_state(X))
     np.testing.assert_allclose(predict(model, X), states[-1][:, 10:12],
                                rtol=1e-12, atol=1e-15)
 
@@ -227,6 +228,56 @@ def test_fit_deterministic():
     np.testing.assert_array_equal(delta1, delta2)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {}, {"init_trainable": True}, {"reg_l1": 1e-4, "reg_l2": 1e-3},
+], ids=["plain", "init_trainable", "regularized"])
+def test_fit_equals_a_loop_of_public_steps_bit_for_bit(kwargs):
+    # fit gathers batches into one workspace and scales the features once;
+    # a loop of loss_and_gradient on Dataset batches and adamax_step must
+    # give the same weights, init_state and losses, short last batch
+    # (100 = 3 * 32 + 4 rows) included
+    rng = np.random.default_rng(31)
+    X = rng.uniform(-1, 1, size=(100, 3))
+    Y = np.stack([X[:, 0] * X[:, 1], np.sin(X[:, 2])], axis=1)
+    data = Dataset(X, Y, ["a", "b", "c"], ["u", "v"])
+    config = TrainConfig(epochs=3, batch_size=32, learning_rate=0.01,
+                         shuffle_seed=5)
+
+    def new_model():
+        model = TmpnnModel.create(3, 2, n_latent=1, order=3, steps=3,
+                                  init="perturbed", seed=2, **kwargs)
+        model.init_state = np.array([0.1, -0.2, 0.3])
+        return model
+
+    model = new_model()
+    report = fit(model, data, config=config)
+
+    ref = new_model()
+    ref.scaler = Scaler.fit(X)
+    params = [ref.map.delta] + ([ref.init_state] if ref.init_trainable else [])
+    opt = AdamaxState.init(params, alpha=config.learning_rate)
+    order = np.random.default_rng(config.shuffle_seed)
+    losses = []
+    for _ in range(config.epochs):
+        perm = order.permutation(100)
+        epoch = []
+        for start in range(0, 100, 32):
+            loss, grads = loss_and_gradient(ref, data.take(perm[start:start + 32]))
+            params = adamax_step(opt, params, list(grads.values()))
+            ref.map.delta = params[0]
+            if ref.init_trainable:
+                ref.init_state = params[1]
+            epoch.append(loss)
+        losses.append(float(np.mean(epoch)))
+
+    assert report.diverged_steps == 0
+    assert report.train_losses == losses
+    np.testing.assert_array_equal(model.map.delta, ref.map.delta)
+    np.testing.assert_array_equal(model.init_state, ref.init_state)
+    if kwargs.get("init_trainable"):
+        assert not np.array_equal(model.init_state, new_model().init_state)
+
+
 def test_standardization_round_trip():
     rng = np.random.default_rng(9)
     X = rng.uniform(5.0, 9.0, size=(50, 2))
@@ -315,6 +366,29 @@ def test_divergence_beyond_the_first_block_names_the_global_row():
     assert err.value.row == bad
     assert f"batch row {bad})" in str(err.value)
     _, trajectory = forward(replace(model, steps=err.value.step - 1), [50.0])
+    np.testing.assert_array_equal(err.value.state, trajectory[-1])
+
+
+def test_divergence_names_the_earliest_step_not_the_first_row():
+    # the pass is checked once at its end; the scan must then report the
+    # earliest map application that overflowed in the first bad block and
+    # that step's first row, not the first row that is bad at the end,
+    # nor a row of a later block that overflowed sooner
+    model = TmpnnModel.create(1, 1, order=3, steps=5, standardize=False)
+    model.map.delta = model.map.delta + 1.0
+    X = np.full((2 * _block_rows(model.basis) + 1, 1), 0.1)
+    X[1] = 1e4     # overflows at step 4
+    X[3] = 1e50    # overflows at step 2
+    X[-1] = 1e200  # overflows at step 1, in the last block
+    for row, step in ((1, 4), (3, 2), (-1, 1)):
+        with pytest.raises(DivergenceError) as err:
+            predict(model, X[[row]])
+        assert err.value.step == step
+    with pytest.raises(DivergenceError) as err:
+        predict(model, X)
+    assert (err.value.step, err.value.row) == (2, 3)
+    assert "map application 2 (batch row 3)" in str(err.value)
+    _, trajectory = forward(replace(model, steps=1), X[3])
     np.testing.assert_array_equal(err.value.state, trajectory[-1])
 
 

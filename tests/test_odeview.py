@@ -181,8 +181,8 @@ def test_trained_model_euler_error_halves_with_steps(trained_sine_model):
 
     Z0 = model.initial_state(data.X[:50])
     ref = np.array([integrate_reference(ode, z, 1000) for z in Z0])
-    err_p = np.linalg.norm(_forward_states(model, Z0)[0][-1] - ref, axis=1)
-    err_2p = np.linalg.norm(_forward_states(raised, Z0)[0][-1] - ref, axis=1)
+    err_p = np.linalg.norm(_forward_states(model, Z0)[-1] - ref, axis=1)
+    err_2p = np.linalg.norm(_forward_states(raised, Z0)[-1] - ref, axis=1)
     ratio = err_p.mean() / err_2p.mean()
     assert 1.5 <= ratio <= 3.0
     # finer discretization should help nearly everywhere
@@ -196,8 +196,8 @@ def test_trajectory_tracks_reference_at_intermediate_times(trained_sine_model):
     ode = extract_ode(model)
     raised = raise_order(model, 20)
     Z0 = model.initial_state(data.X[:10])
-    coarse = _forward_states(model, Z0)[0]
-    fine = _forward_states(raised, Z0)[0]
+    coarse = _forward_states(model, Z0)
+    fine = _forward_states(raised, Z0)
     for t in (3, 7, 10):
         ref = np.array([integrate_reference(ode, z, 500, t_end=t / 10.0)
                         for z in Z0])
