@@ -1,5 +1,10 @@
 """Command-line front end: train, predict, evaluate, inspect-ode,
-raise-order, and gen-data."""
+raise-order, and gen-data.
+
+Argument parsing needs only the standard library; each command imports
+the numeric modules when it runs, so `--help` and usage errors start fast
+and the thread-count variable below is set before numpy loads.
+"""
 
 from __future__ import annotations
 
@@ -12,15 +17,8 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
-import json
 import sys
 
-import numpy as np
-
-from . import data as datamod
-from . import io as iomod
-from . import model as modelmod
-from . import odeview
 from .errors import TmpnnError
 
 
@@ -37,7 +35,8 @@ def _parse_batch(spec: str):
     return int(spec)
 
 
-def _generate(generator: str, args) -> datamod.Dataset:
+def _generate(generator: str, args):
+    from . import data as datamod
     if generator == "friedman1":
         return datamod.gen_friedman1(args.samples, n_unimportant=args.unimportant,
                                      noise_std=args.noise, seed=args.seed)
@@ -45,7 +44,8 @@ def _generate(generator: str, args) -> datamod.Dataset:
                                     seed=args.seed)
 
 
-def _load_training_data(args) -> datamod.Dataset:
+def _load_training_data(args):
+    from . import data as datamod
     if args.data is not None and args.gen is not None:
         raise ValueError("--data and --gen are mutually exclusive")
     if args.data is not None:
@@ -57,9 +57,10 @@ def _load_training_data(args) -> datamod.Dataset:
     raise ValueError("one of --data or --gen is required")
 
 
-def _split(args, dataset: datamod.Dataset):
+def _split(args, dataset):
     """(train, test) per --split-quantile or --test-fraction; test is None
     when neither is given."""
+    from . import data as datamod
     if args.test_fraction is not None and args.split_quantile is not None:
         raise ValueError("--test-fraction and --split-quantile are mutually "
                          "exclusive")
@@ -75,6 +76,9 @@ def _split(args, dataset: datamod.Dataset):
 
 
 def cmd_train(args) -> int:
+    import json
+
+    from . import data as datamod, io as iomod, model as modelmod
     train, test = _split(args, _load_training_data(args))
 
     model = modelmod.TmpnnModel.create(
@@ -133,11 +137,12 @@ def _resolve_eval_targets(args, extras):
     raise ValueError("the model file records no target names; pass --targets")
 
 
-def _model_features(path, names, X, model, feature_names) -> np.ndarray:
+def _model_features(path, names, X, model, feature_names):
     """X's columns in the model's feature order: matched by header name
     when the file has a header and the model records names, by position
     otherwise.  Header names that do not match are a ValueError naming
     the missing and the unexpected ones."""
+    from . import data as datamod
     if X.shape[1] != model.n_features:
         raise ValueError(f"data has {X.shape[1]} feature columns but the "
                          f"model expects {model.n_features}")
@@ -159,6 +164,7 @@ def _model_features(path, names, X, model, feature_names) -> np.ndarray:
 
 
 def cmd_evaluate(args) -> int:
+    from . import data as datamod, io as iomod, model as modelmod
     model, extras = iomod.load_model(args.model)
     dataset = datamod.load_csv(args.data, _resolve_eval_targets(args, extras))
     if dataset.n_targets != model.n_targets:
@@ -182,6 +188,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from . import data as datamod, io as iomod, model as modelmod
     model, extras = iomod.load_model(args.model)
     names, X = datamod.load_table(args.data)
     X = _model_features(args.data, names, X, model, extras.get("feature_names"))
@@ -207,6 +214,7 @@ def _state_names(model, extras) -> list[str]:
 
 
 def cmd_inspect_ode(args) -> int:
+    from . import io as iomod, odeview
     model, extras = iomod.load_model(args.model)
     ode = odeview.extract_ode(model)
     text = odeview.render_ode(ode, _state_names(model, extras),
@@ -223,6 +231,7 @@ def cmd_inspect_ode(args) -> int:
 
 
 def cmd_raise_order(args) -> int:
+    from . import io as iomod, odeview
     model, extras = iomod.load_model(args.model)
     raised = odeview.raise_order(model, args.steps)
     iomod.save_model(raised, args.out,
@@ -234,6 +243,7 @@ def cmd_raise_order(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
+    from . import data as datamod
     dataset = _generate(args.generator, args)
     datamod.save_csv(dataset, args.out)
     print(f"{dataset.n_samples} rows written to {args.out}")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class TmpnnError(Exception):
     """Base class for errors specific to this package."""
@@ -20,11 +18,12 @@ class DivergenceError(TmpnnError):
         step: index of the map application that produced the bad state
             (1-based: step t means the t-th application), or None.
         row: index of the first offending sample in a batched call, or None.
-        state: the layer input that led to the non-finite output, or None.
+        state: the layer input (an array) that led to the non-finite output,
+            or None.
     """
 
     def __init__(self, message: str, *, step: int | None = None,
-                 row: int | None = None, state: np.ndarray | None = None):
+                 row: int | None = None, state=None):
         super().__init__(message)
         self.step = step
         self.row = row

@@ -82,8 +82,11 @@ def model_from_dict(doc: dict) -> tuple[TmpnnModel, dict]:
     Raises:
         ValueError: version mismatch, a missing key, a dimension that is
             not an integer (bool and fractional values included) or out
-            of range, a malformed scaler, or any inconsistent dimension;
-            the message names the key.
+            of range, an array or number field holding anything but
+            finite numbers (bool is not a number), a flag that is not
+            true or false, names that are not null or one string per
+            column, a malformed scaler, or any inconsistent shape; the
+            message names the key.
     """
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
@@ -97,43 +100,47 @@ def model_from_dict(doc: dict) -> tuple[TmpnnModel, dict]:
         (("n_features", 1), ("n_targets", 1), ("n_latent", 0),
          ("order", 1), ("steps", 1)))
 
-    # the shape is checked before the basis is enumerated, so absurd
-    # dimensions fail here instead of building a huge table
+    # the width is checked before the basis size is computed and the size
+    # before the basis is enumerated, so absurd dimensions fail here
+    # instead of building a huge table
     dim = n + m + latent
-    delta = np.asarray(_required(doc, "weights"), dtype=np.float64)
-    if delta.shape != (math.comb(dim + order, order), dim):
+    delta = _floats(_required(doc, "weights"), "weights")
+    if delta.ndim != 2 or delta.shape[1] != dim:
+        raise ValueError(f"weight matrix shape {delta.shape} does not have "
+                         f"{dim} columns, one per state variable")
+    size = math.comb(dim + order, order)
+    if delta.shape[0] != size:
         raise ValueError(f"weight matrix shape {delta.shape} does not match "
-                         f"basis {(math.comb(dim + order, order), dim)}")
-    basis = build_basis(dim, order)
-    init_state = np.asarray(_required(doc, "init_state"), dtype=np.float64)
+                         f"basis {(size, dim)}")
+    init_state = _floats(_required(doc, "init_state"), "init_state")
     if init_state.shape != (m + latent,):
-        raise ValueError(f"init_state length {init_state.shape[0]} must be "
-                         f"{m + latent}")
+        raise ValueError(f"init_state shape {init_state.shape} must be "
+                         f"({m + latent},)")
 
-    scaler = None
-    if doc.get("scaler") is not None:
-        if not (isinstance(doc["scaler"], dict)
-                and {"mean", "scale"} <= doc["scaler"].keys()):
+    # a missing scaler would silently predict in unscaled coordinates
+    scaler = _required(doc, "scaler")
+    if scaler is not None:
+        if not (isinstance(scaler, dict) and {"mean", "scale"} <= scaler.keys()):
             raise ValueError("model file key 'scaler' must be null or an "
                              "object with 'mean' and 'scale'")
-        mean = np.asarray(doc["scaler"]["mean"], dtype=np.float64)
-        scale = np.asarray(doc["scaler"]["scale"], dtype=np.float64)
+        mean, scale = (_floats(scaler[part], f"scaler.{part}")
+                       for part in ("mean", "scale"))
         if mean.shape != (n,) or scale.shape != (n,):
             raise ValueError("scaler arrays must have one entry per feature")
         scaler = Scaler(mean=mean, scale=scale)
 
     model = TmpnnModel(
         n_features=n, n_targets=m, n_latent=latent, steps=steps,
-        map=TaylorMapWeights(basis=basis, delta=delta),
+        map=TaylorMapWeights(basis=build_basis(dim, order), delta=delta),
         init_state=init_state,
-        init_trainable=bool(doc.get("init_trainable", False)),
-        reg_l1=float(doc.get("reg_l1", 0.0)),
-        reg_l2=float(doc.get("reg_l2", 0.0)),
-        standardize=bool(doc.get("standardize", True)),
+        init_trainable=_flag(doc, "init_trainable", False),
+        reg_l1=_coefficient(doc, "reg_l1"),
+        reg_l2=_coefficient(doc, "reg_l2"),
+        standardize=_flag(doc, "standardize", True),
         scaler=scaler)
     extras = {
-        "feature_names": doc.get("feature_names"),
-        "target_names": doc.get("target_names"),
+        "feature_names": _names(doc, "feature_names", n),
+        "target_names": _names(doc, "target_names", m),
         "training": doc.get("training"),
     }
     return model, extras
@@ -157,6 +164,54 @@ def _dimension(doc: dict, key: str, low: int) -> int:
         raise ValueError(f"model file has non-positive dimensions: {key!r} "
                          f"is {value!r}, below {low}")
     return int(value)
+
+
+def _floats(value, key: str) -> np.ndarray:
+    """value, a number or nested lists of them, as a float64 array.
+
+    Every entry must be a finite real number; bool, strings, null,
+    objects and ragged lists (whose rows are entries of an object array)
+    are a ValueError naming key, as are NaN and the infinities that
+    Python's JSON reader accepts.
+    """
+    entries = np.array(value, dtype=object)
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               for v in entries.flat):
+        raise ValueError(f"model file key {key!r} must hold numbers only")
+    try:
+        array = entries.astype(np.float64)
+    except OverflowError:  # an integer beyond the float range
+        array = np.array(np.inf)
+    if not np.isfinite(array).all():
+        raise ValueError(f"model file key {key!r} must hold finite numbers")
+    return array
+
+
+def _coefficient(doc: dict, key: str) -> float:
+    """doc[key], default 0, as one finite number >= 0."""
+    value = _floats(doc.get(key, 0.0), key)
+    if value.shape != () or value < 0:
+        raise ValueError(f"model file key {key!r} must be a number >= 0")
+    return float(value)
+
+
+def _flag(doc: dict, key: str, default: bool) -> bool:
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"model file key {key!r} must be true or false, "
+                         f"got {value!r}")
+    return value
+
+
+def _names(doc: dict, key: str, count: int):
+    """doc[key]: null (the default) or a list of count strings."""
+    value = doc.get(key)
+    if value is not None and not (
+            isinstance(value, list) and len(value) == count
+            and all(isinstance(name, str) for name in value)):
+        raise ValueError(f"model file key {key!r} must be null or a list "
+                         f"of {count} strings")
+    return value
 
 
 def load_model(path) -> tuple[TmpnnModel, dict]:

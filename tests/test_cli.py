@@ -316,15 +316,26 @@ def test_console_script_runs():
     ("steps", 2.7, "'steps' must be an integer"),
     ("steps", True, "'steps' must be an integer"),
     ("scaler", "x", "'scaler' must be null or an object"),
+    ("scaler", None, "missing 'scaler'"),
+    # Python's JSON reader takes NaN and Infinity; the file must not
+    ("init_state", [float("nan")], "'init_state' must hold finite numbers"),
+    ("scaler.mean", [float("nan")], "'scaler.mean' must hold finite numbers"),
+    ("scaler.scale", [float("inf")],
+     "'scaler.scale' must hold finite numbers"),
+    ("reg_l2", float("nan"), "'reg_l2' must hold finite numbers"),
+    ("init_state", {"a": 1}, "'init_state' must hold numbers only"),
+    ("reg_l1", [1], "'reg_l1' must be a number"),
 ])
 def test_malformed_model_file_is_one_error_line(tmp_path, trained, capsys,
                                                 key, value, fragment):
     model_path, data_csv = trained
     doc = json.loads(model_path.read_text())
+    *outer, key = key.split(".")
+    target = doc[outer[0]] if outer else doc
     if value is None:
-        del doc[key]
+        del target[key]
     else:
-        doc[key] = value
+        target[key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     capsys.readouterr()

@@ -1,6 +1,7 @@
 """Model serialization: exact round trips, validation, and stable bytes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,22 @@ def test_dimension_validation(mutate, fragment):
     doc["scaler"] = {"mean": [0.0, 0.0], "scale": [1.0, 1.0]}
     mutate(doc)
     with pytest.raises(ValueError, match=fragment):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("key,value,fragment", [
+    ("feature_names", "ab", "'feature_names' must be null or a list of 2"),
+    ("target_names", ["u"], "'target_names' must be null or a list of 2"),
+    ("init_trainable", "no", "'init_trainable' must be true or false"),
+    ("init_state", 5, "init_state shape ()"),
+    ("init_state", [1.0, [2.0]], "'init_state' must hold numbers only"),
+    ("reg_l1", -1.0, "'reg_l1' must be a number >= 0"),
+    ("weights", 10 ** 400, "'weights' must hold finite numbers"),
+])
+def test_malformed_fields_name_the_key(key, value, fragment):
+    doc = model_to_dict(make_model())
+    doc[key] = value
+    with pytest.raises(ValueError, match=re.escape(fragment)):
         model_from_dict(doc)
 
 

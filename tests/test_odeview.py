@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from tmpnn import (Dataset, OdeSystem, TaylorMapWeights, TmpnnModel,
-                   TrainConfig, build_basis, extract_ode, fit,
+from tmpnn import (Dataset, DivergenceError, OdeSystem, TaylorMapWeights,
+                   TmpnnModel, TrainConfig, build_basis, extract_ode, fit,
                    identity_weights, integrate_reference, raise_order,
                    rebuild_map, render_ode, rescale_time)
 from tmpnn.model import _forward_states
@@ -158,8 +158,51 @@ def test_integrate_validates_arguments():
     ode = OdeSystem(basis=basis, A=np.array([[0.0], [1.0]]))
     with pytest.raises(ValueError):
         integrate_reference(ode, np.array([1.0]), 0)
-    with pytest.raises(ValueError):
-        integrate_reference(ode, np.array([1.0, 2.0]), 10)
+    for bad in (np.array([1.0, 2.0]), np.ones((3, 2)), np.ones((2, 1, 1)),
+                np.array(1.0)):
+        with pytest.raises(ValueError, match="z0 must have shape"):
+            integrate_reference(ode, bad, 10)
+
+
+def test_integrate_batch_agrees_with_a_per_row_loop():
+    rng = np.random.default_rng(10)
+    for n, m, k in ((1, 1, 2), (2, 1, 3), (3, 2, 2)):
+        model = random_delta_model(rng, n=n, m=m, k=k, scale=0.05)
+        ode = extract_ode(model)
+        Z0 = rng.uniform(-0.5, 0.5, (7, ode.dim))
+        loop = [integrate_reference(ode, z, 200, t_end=0.8) for z in Z0]
+        assert all(z.shape == (ode.dim,) for z in loop)
+        before = Z0.copy()
+        batch = integrate_reference(ode, Z0, 200, t_end=0.8)
+        assert batch.shape == Z0.shape
+        for got, want in zip(batch, loop):
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        np.testing.assert_array_equal(Z0, before)
+
+
+def test_integrate_divergence_names_the_first_row_and_step():
+    # dz/dtau = z^2 blows up at tau = 1/z0: from 4 within the first few
+    # steps, from 2 later, and never from 0.1 within the unit interval
+    basis = build_basis(1, 2)
+    ode = OdeSystem(basis=basis, A=np.array([[0.0], [0.0], [1.0]]))
+    Z0 = np.array([[0.1], [2.0], [0.1], [4.0], [4.0]])
+    with pytest.raises(DivergenceError) as batched:
+        integrate_reference(ode, Z0, 10)
+    with pytest.raises(DivergenceError) as single:
+        integrate_reference(ode, Z0[3], 10)
+    assert batched.value.row == 3
+    assert batched.value.step == single.value.step
+    assert f"step {single.value.step} (row 3)" in str(batched.value)
+    assert single.value.row is None
+    # the state entering the step that overflowed, finite and past the
+    # start, is the same in both calls
+    np.testing.assert_allclose(batched.value.state, single.value.state,
+                               rtol=1e-14)
+    assert np.isfinite(single.value.state).all()
+    assert single.value.state[0] > 4.0
+    with pytest.raises(DivergenceError) as later:
+        integrate_reference(ode, Z0[:3], 10)
+    assert later.value.row == 1 and later.value.step > single.value.step
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +223,7 @@ def test_trained_model_euler_error_halves_with_steps(trained_sine_model):
     np.testing.assert_array_equal(extract_ode(raised).A, ode.A)
 
     Z0 = model.initial_state(data.X[:50])
-    ref = np.array([integrate_reference(ode, z, 1000) for z in Z0])
+    ref = integrate_reference(ode, Z0, 1000)
     err_p = np.linalg.norm(_forward_states(model, Z0)[-1] - ref, axis=1)
     err_2p = np.linalg.norm(_forward_states(raised, Z0)[-1] - ref, axis=1)
     ratio = err_p.mean() / err_2p.mean()
@@ -199,8 +242,7 @@ def test_trajectory_tracks_reference_at_intermediate_times(trained_sine_model):
     coarse = _forward_states(model, Z0)
     fine = _forward_states(raised, Z0)
     for t in (3, 7, 10):
-        ref = np.array([integrate_reference(ode, z, 500, t_end=t / 10.0)
-                        for z in Z0])
+        ref = integrate_reference(ode, Z0, 500, t_end=t / 10.0)
         err10 = np.linalg.norm(coarse[t] - ref, axis=1).mean()
         err20 = np.linalg.norm(fine[2 * t] - ref, axis=1).mean()
         assert err20 < err10 < 1.0

@@ -1,20 +1,22 @@
 """Property tests of the exact round trips: JSON save/load, ODE
 extract/rebuild and raise-order at step doublings over random model
 shapes, CSV save/load over random tables, and table parsing against a
-per-cell float() reference."""
+per-cell float() reference; and of the model-file boundary under mutated
+documents."""
 
+import json
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 import tmpnn.data
 from tmpnn import (Dataset, Scaler, TmpnnModel, extract_ode, load_csv,
-                   load_model, load_table, predict, raise_order, rebuild_map,
-                   save_csv, save_model)
+                   load_model, load_table, model_from_dict, model_to_dict,
+                   predict, raise_order, rebuild_map, save_csv, save_model)
 
 # (n, m, l, k, p) with the weights, init state and scaler drawn from a seed
 shapes = st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2),
@@ -47,6 +49,106 @@ def test_json_save_load_predicts_bit_identically(shape):
     assert back.order == model.order and back.steps == model.steps
     X = rng.uniform(-1.0, 1.0, size=(16, model.n_features))
     np.testing.assert_array_equal(predict(back, X), predict(model, X))
+
+
+def _values(node, path=()):
+    """(path, value) of every value below a JSON document, parents before
+    their children."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,), value
+        yield from _values(value, path + (key,))
+
+
+def _json_type(value):
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {type(None): "null", str: "string", list: "list",
+            dict: "object"}[type(value)]
+
+
+# one value of each JSON type; a number changed into another number is a
+# new value of the same type, not a malformed field
+OF_TYPE = {"number": 7.5, "bool": True, "string": "x", "null": None,
+           "list": [1.0], "object": {"a": 1.0}}
+DIMENSIONS = ("n_features", "n_targets", "n_latent", "order", "steps")
+
+
+def _sites(doc, kind):
+    """(path, value) of every place in doc that a mutation of kind fits."""
+    values = list(_values(doc))
+    if kind == "drop":
+        return [(path, v) for path, v in values if isinstance(path[-1], str)]
+    if kind == "shape":
+        return [(path, v) for path, v in values if isinstance(v, list)]
+    if kind == "non-finite":
+        return [(path, v) for path, v in values if _json_type(v) == "number"]
+    if kind == "fraction":
+        return [((key,), doc[key]) for key in DIMENSIONS]
+    return values
+
+
+def _changes(draw, kind, path, old):
+    """The new values a mutation of kind puts at path (None: drop it)."""
+    if kind == "drop":
+        return [None]
+    if kind == "type":
+        # null is a legal scaler: it names a model without one, which is
+        # another model, not a malformed file
+        return [OF_TYPE[t] for t in OF_TYPE if t != _json_type(old)
+                and not (path == ("scaler",) and t == "null")]
+    if kind == "shape":
+        return [draw(st.sampled_from([old[:-1], old + old[-1:], [old]]))]
+    if kind == "non-finite":
+        return [draw(st.sampled_from([np.nan, np.inf, -np.inf]))]
+    return [old + draw(st.floats(0.01, 0.99))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(shapes, st.data())
+def test_mutated_model_file_loads_identically_or_is_a_value_error(shape,
+                                                                   data):
+    # every example mutates each top-level key in each of five ways: drop
+    # a key, give a value another JSON type, make a list one entry
+    # shorter or longer or wrap it in a list, put in NaN or an infinity,
+    # make a dimension fractional; where inside the key, and the new
+    # shape or number, are drawn
+    model, rng = random_model(*shape)
+    doc = model_to_dict(
+        model, feature_names=[f"x{i}" for i in range(model.n_features)],
+        target_names=[f"y{j}" for j in range(model.n_targets)],
+        training={"epochs_run": 3, "losses": [0.5, 0.25]})
+    # the text a file would hold; Python's reader takes NaN and Infinity,
+    # the values put in below
+    text = json.dumps(doc)
+    X = rng.uniform(-1.0, 1.0, size=(8, model.n_features))
+    want = predict(model, X).tobytes()
+    for kind in ("drop", "type", "shape", "non-finite", "fraction"):
+        sites = _sites(doc, kind)
+        for top in sorted({path[0] for path, _ in sites}):
+            here = [site for site in sites if site[0][0] == top]
+            # the shallowest site half the time, so the top-level value
+            # is not lost among the entries below it
+            path, old = (here[0] if data.draw(st.booleans())
+                         else data.draw(st.sampled_from(here)))
+            for value in _changes(data.draw, kind, path, old):
+                mutant = json.loads(text)
+                parent = mutant
+                for key in path[:-1]:
+                    parent = parent[key]
+                if kind == "drop":
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = value
+                note(f"{kind} at {path}: {value!r}")
+                try:
+                    back, _ = model_from_dict(mutant)
+                except ValueError:
+                    continue
+                assert predict(back, X).tobytes() == want
 
 
 @bounded
