@@ -193,9 +193,7 @@ def cmd_predict(args) -> int:
     names, X = datamod.load_table(args.data)
     X = _model_features(args.data, names, X, model, extras.get("feature_names"))
     pred = modelmod.predict(model, X)
-    target_names = (extras.get("target_names")
-                    or [f"y{j + 1}" for j in range(model.n_targets)])
-    chunks = datamod.csv_text_blocks(target_names, pred)
+    chunks = datamod.csv_text_blocks(_target_names(model, extras), pred)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
@@ -204,13 +202,16 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _target_names(model, extras) -> list[str]:
+    return (extras.get("target_names")
+            or [f"y{j + 1}" for j in range(model.n_targets)])
+
+
 def _state_names(model, extras) -> list[str]:
     features = (extras.get("feature_names")
                 or [f"x{i + 1}" for i in range(model.n_features)])
-    targets = (extras.get("target_names")
-               or [f"y{j + 1}" for j in range(model.n_targets)])
     latent = [f"h{i + 1}" for i in range(model.n_latent)]
-    return list(features) + list(targets) + latent
+    return list(features) + _target_names(model, extras) + latent
 
 
 def cmd_inspect_ode(args) -> int:

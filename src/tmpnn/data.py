@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
@@ -278,12 +277,9 @@ def save_csv(dataset: Dataset, path) -> None:
     Floats are written in shortest round-trip form, so a save/load cycle
     reproduces values exactly.
     """
+    names = list(dataset.feature_names) + list(dataset.target_names)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.feature_names) + list(dataset.target_names))
-        for xr, yr in zip(dataset.X, dataset.Y):
-            writer.writerow([repr(float(v)) for v in xr] +
-                            [repr(float(v)) for v in yr])
+        fh.writelines(csv_text_blocks(names, np.hstack([dataset.X, dataset.Y])))
 
 
 def split_random(dataset: Dataset, test_fraction: float,

@@ -8,7 +8,7 @@ class TmpnnError(Exception):
 
 
 class DivergenceError(TmpnnError):
-    """A forward pass produced a non-finite state.
+    """A forward pass, or a training step's loss or gradient, went non-finite.
 
     Iterated polynomial maps can overflow for badly scaled inputs or
     oversized weights.  The offending layer input is attached so callers

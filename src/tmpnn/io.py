@@ -80,15 +80,15 @@ def model_from_dict(doc: dict) -> tuple[TmpnnModel, dict]:
     extras carries feature_names, target_names and training metadata.
 
     Raises:
-        ValueError: version mismatch, a missing key, a dimension that is
-            not an integer (bool and fractional values included) or out
-            of range, an array or number field holding anything but
-            finite numbers (bool is not a number), a flag that is not
-            true or false, names that are not null or one string per
-            column, a malformed scaler, or any inconsistent shape; the
-            message names the key.
+        ValueError: a missing key, a format_version or dimension that
+            is not an integer (bool, strings and fractions included), a
+            version mismatch, a dimension out of range, an array or
+            number field holding anything but finite numbers (bool is
+            not a number), a flag that is not true or false, names that
+            are not null or one string per column, a malformed scaler,
+            or any inconsistent shape; the message names the key.
     """
-    version = doc.get("format_version")
+    version = _integer(doc, "format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model file version {version!r}; "
                          f"this build reads version {FORMAT_VERSION}")
@@ -152,18 +152,24 @@ def _required(doc: dict, key: str):
     return doc[key]
 
 
-def _dimension(doc: dict, key: str, low: int) -> int:
-    """doc[key] as an exact int >= low; JSON's 2.0 reads as 2."""
+def _integer(doc: dict, key: str) -> int:
+    """doc[key] as an exact int; JSON's 2.0 reads as 2, true and "2" fail."""
     value = _required(doc, key)
     integral = (isinstance(value, numbers.Integral)
                 or (isinstance(value, float) and value.is_integer()))
     if isinstance(value, bool) or not integral:
         raise ValueError(f"model file key {key!r} must be an integer, "
                          f"got {value!r}")
+    return int(value)
+
+
+def _dimension(doc: dict, key: str, low: int) -> int:
+    """doc[key] as an exact int >= low."""
+    value = _integer(doc, key)
     if value < low:
         raise ValueError(f"model file has non-positive dimensions: {key!r} "
                          f"is {value!r}, below {low}")
-    return int(value)
+    return value
 
 
 def _floats(value, key: str) -> np.ndarray:

@@ -13,9 +13,9 @@ and G_t chains G_{t+1} through the layer Jacobian.  The Jacobian of an
 order-k polynomial map is a polynomial map of order k-1, so its
 coefficients are tabulated once per gradient step and every layer's
 Jacobian is one product with the lower-degree monomials.  The optimizer
-is Adamax (see optim); a forward pass that overflows is treated as an
-exploding step, which is skipped with the learning rate halved for the
-rest of the epoch.
+is Adamax (see optim); a step whose forward pass overflows, or whose
+loss or gradient is non-finite, is an exploding step, which is skipped
+with the learning rate halved for the rest of the epoch.
 """
 
 from __future__ import annotations
@@ -45,8 +45,10 @@ class Scaler:
         self.scale = np.asarray(self.scale, dtype=np.float64)
         if self.mean.shape != self.scale.shape or self.mean.ndim != 1:
             raise ValueError("mean and scale must be 1-D arrays of equal length")
-        if not np.all(self.scale > 0):
-            raise ValueError("all scale entries must be positive")
+        if not np.isfinite(self.mean).all():
+            raise ValueError("scaler mean must hold finite numbers")
+        if not (np.isfinite(self.scale) & (self.scale > 0)).all():
+            raise ValueError("scaler scale must hold finite positive numbers")
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Scaler":
@@ -100,12 +102,18 @@ class TmpnnModel:
         if self.map.dim != self.dim:
             raise ValueError(f"map dimension {self.map.dim} does not equal "
                              f"n_features + n_targets + n_latent = {self.dim}")
-        if self.reg_l1 < 0 or self.reg_l2 < 0:
-            raise ValueError("regularization coefficients must be >= 0")
+        for name, value in (("reg_l1", self.reg_l1), ("reg_l2", self.reg_l2)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0")
         self.init_state = np.asarray(self.init_state, dtype=np.float64)
         if self.init_state.shape != (self.n_targets + self.n_latent,):
             raise ValueError(f"init_state must have length "
                              f"{self.n_targets + self.n_latent}")
+        if not np.isfinite(self.init_state).all():
+            raise ValueError("init_state must hold finite numbers")
+        if self.scaler is not None and self.scaler.mean.shape != (self.n_features,):
+            raise ValueError(f"scaler must have one entry per feature, got "
+                             f"{self.scaler.mean.size} for {self.n_features}")
 
     @property
     def dim(self) -> int:
@@ -381,8 +389,8 @@ def _step(model: TmpnnModel, ws: _Workspace, rows: int):
     phis = _leading(ws.phis, model.steps, basis.size, rows)
     low = ws.C.shape[0]
     terms, var, lowered, exps = basis.deriv_terms
-    # overflow surfaces as a DivergenceError from the forward pass, or as
-    # a non-finite loss or gradient that fit() skips as the same event
+    # overflow surfaces as a DivergenceError, from the forward pass or from
+    # the loss and gradient check at the end
     with np.errstate(over="ignore", invalid="ignore"):
         states = _forward_states(model, ws.z0[:rows], ws.states[:, :rows],
                                  phis)
@@ -421,7 +429,15 @@ def _step(model: TmpnnModel, ws: _Workspace, rows: int):
     grads = {"delta": d_delta}
     if model.init_trainable:
         grads["init_state"] = G[:, n:].sum(axis=0)
+    if not (math.isfinite(loss)
+            and all(np.isfinite(g).all() for g in grads.values())):
+        raise DivergenceError("the loss or a gradient became non-finite")
     return loss, grads
+
+
+def _check_width(model: TmpnnModel, data: Dataset, what: str) -> None:
+    if data.n_features != model.n_features or data.n_targets != model.n_targets:
+        raise ValueError(f"{what} width does not match the model")
 
 
 def loss_and_gradient(model: TmpnnModel, batch: Dataset):
@@ -437,10 +453,10 @@ def loss_and_gradient(model: TmpnnModel, batch: Dataset):
         trainable, key "init_state".
 
     Raises:
-        DivergenceError: when the forward pass overflows.
+        DivergenceError: when the forward pass overflows, or the loss or
+            a gradient is non-finite.
     """
-    if batch.n_features != model.n_features or batch.n_targets != model.n_targets:
-        raise ValueError("batch width does not match the model")
+    _check_width(model, batch, "batch")
     ws = _Workspace(model, batch.n_samples)
     ws.z0[:] = model.initial_state(batch.X)
     ws.Y[:] = batch.Y
@@ -451,10 +467,11 @@ def _metric_mse_or_inf(model: TmpnnModel, data: Dataset) -> float:
     """Full-pass MSE; inf when some row's forward pass diverges.
 
     Training survives divergent batches, so the bookkeeping passes must
-    not be the thing that crashes a run.
+    not be the thing that crashes a run; an MSE that overflows is inf too.
     """
     try:
-        return metric_mse(data.Y, predict(model, data.X))
+        with np.errstate(over="ignore"):
+            return metric_mse(data.Y, predict(model, data.X))
     except DivergenceError:
         return float("inf")
 
@@ -466,14 +483,16 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
     Features are standardized when model.standardize is set: the scaler
     is fitted on the training split of the first fit() and kept by later
     ones, so a warm start trains in the coordinates the map was learned
-    in.  A diverging batch is skipped and the learning rate halved for
-    the remainder of that epoch; if every batch of an epoch diverges,
-    TrainingDivergedError is raised.  A validation or final metric pass
-    that diverges records inf instead of failing the run.  With early_stop
-    configured, which needs a validation set (ValueError otherwise),
-    training stops after patience epochs without a validation loss below
-    the best minus min_delta, and the weights from the best validation
-    epoch are restored at the end.
+    in.  A diverging batch (see loss_and_gradient) is skipped and the
+    learning rate halved for the remainder of that epoch; if every batch
+    of an epoch diverges, TrainingDivergedError is raised.  A validation
+    or final metric pass that diverges records inf instead of failing the
+    run.  An epoch improves when its score, the validation loss (training
+    loss without a validation set), is below the best so far minus
+    min_delta (0 without early_stop); the last such epoch is best_epoch.
+    With early_stop, which needs a validation set (ValueError otherwise),
+    training stops after patience epochs without an improvement, and the
+    weights from the best epoch are restored at the end.
 
     The training features are checked and scaled once per call, and the
     arrays of a step (see _Workspace) are allocated once per call for
@@ -483,13 +502,12 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
     """
     if config is None:
         config = TrainConfig()
-    if train.n_features != model.n_features or train.n_targets != model.n_targets:
-        raise ValueError("training data width does not match the model")
-    if valid is not None and (valid.n_features != model.n_features
-                              or valid.n_targets != model.n_targets):
-        raise ValueError("validation data width does not match the model")
+    _check_width(model, train, "training data")
+    if valid is not None:
+        _check_width(model, valid, "validation data")
     if config.early_stop is not None and valid is None:
         raise ValueError("early_stop needs a validation set (valid)")
+    patience, min_delta = config.early_stop or (None, 0.0)
 
     if model.standardize and model.scaler is None:
         model.scaler = Scaler.fit(train.X)
@@ -500,14 +518,11 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
     batch = n_rows if config.batch_size == "full" else min(int(config.batch_size), n_rows)
     ws = _Workspace(model, batch)
     rng = np.random.default_rng(config.shuffle_seed)
-    opt = AdamaxState.init(
-        [model.map.delta] + ([model.init_state] if model.init_trainable else []),
-        alpha=config.learning_rate)
+    params = [model.map.delta] + ([model.init_state] if model.init_trainable else [])
+    opt = AdamaxState.init(params, alpha=config.learning_rate)
 
     report = TrainReport(valid_losses=[] if valid is not None else None)
-    best_valid = np.inf
-    best_snapshot = None
-    since_improve = 0
+    best, best_snapshot, since_improve = np.inf, None, 0
 
     for epoch in range(config.epochs):
         lr = config.learning_rate
@@ -526,15 +541,6 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
                 report.diverged_steps += 1
                 lr *= 0.5
                 continue
-            # an overflowing backward pass is the same exploding-step event
-            if not (np.isfinite(loss)
-                    and all(np.isfinite(g).all() for g in grads.values())):
-                report.diverged_steps += 1
-                lr *= 0.5
-                continue
-            params = [model.map.delta]
-            if model.init_trainable:
-                params.append(model.init_state)
             params = adamax_step(opt, params, list(grads.values()), lr=lr)
             model.map.delta = params[0]
             if model.init_trainable:
@@ -547,25 +553,18 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
                 f"features or lower the learning rate")
         report.train_losses.append(float(np.mean(losses)))
         report.epochs_run = epoch + 1
-
         if valid is not None:
-            v = _metric_mse_or_inf(model, valid)
-            report.valid_losses.append(v)
-            if v < best_valid - (config.early_stop[1] if config.early_stop else 0.0):
-                best_valid = v
-                report.best_epoch = epoch
-                since_improve = 0
-                if config.early_stop is not None:
-                    best_snapshot = (model.map.delta.copy(),
-                                     model.init_state.copy())
-            else:
-                since_improve += 1
-            if config.early_stop is not None and since_improve >= config.early_stop[0]:
-                break
+            report.valid_losses.append(_metric_mse_or_inf(model, valid))
+        score = (report.valid_losses or report.train_losses)[-1]
+
+        if score < best - min_delta:
+            best, report.best_epoch, since_improve = score, epoch, 0
+            if patience is not None:
+                best_snapshot = (model.map.delta.copy(), model.init_state.copy())
         else:
-            if report.train_losses[-1] < best_valid:
-                best_valid = report.train_losses[-1]
-                report.best_epoch = epoch
+            since_improve += 1
+            if since_improve == patience:
+                break
 
     if best_snapshot is not None:
         model.map.delta, model.init_state = best_snapshot

@@ -80,9 +80,6 @@ class TaylorMapWeights:
         delta[rows, np.arange(basis.dim)] -= 1.0
         return cls(basis=basis, delta=delta)
 
-    def copy(self) -> "TaylorMapWeights":
-        return TaylorMapWeights(basis=self.basis, delta=self.delta.copy())
-
 
 def identity_weights(dim: int, order: int) -> TaylorMapWeights:
     """The identity map: W1 = I, all other coefficients zero.

@@ -216,6 +216,11 @@ def test_save_load_round_trip_is_exact(tmp_path):
     np.testing.assert_array_equal(back.X, ds.X)
     np.testing.assert_array_equal(back.Y, ds.Y)
     assert back.feature_names == ds.feature_names
+    # the same text tmpnn predict writes: \n line ends, repr floats
+    rows = np.hstack([ds.X, ds.Y]).tolist()
+    assert path.read_bytes() == "".join(
+        line + "\n" for line in ["f1,f2,f3,t1,t2"]
+        + [",".join(map(repr, row)) for row in rows]).encode()
 
 
 def test_split_random_is_disjoint_exhaustive_seeded():

@@ -97,6 +97,18 @@ def test_version_and_kind_gates(tmp_path):
         load_model(path)
 
 
+def test_format_version_is_an_exact_integer():
+    # true == 1 and "1" are not version 1; a JSON writer's 1.0 is
+    doc = model_to_dict(make_model())
+    doc["format_version"] = 1.0
+    model_from_dict(doc)
+    for value in (True, "1"):
+        doc["format_version"] = value
+        with pytest.raises(ValueError,
+                           match="'format_version' must be an integer"):
+            model_from_dict(doc)
+
+
 @pytest.mark.parametrize("mutate,fragment", [
     (lambda d: d.update(n_features=0), "non-positive"),
     (lambda d: d.update(steps=0), "non-positive"),

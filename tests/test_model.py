@@ -1,6 +1,7 @@
 """Model forward pass, loss gradients, and the training loop."""
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -444,6 +445,50 @@ def test_divergence_recovery_halves_rate_and_continues():
     # the poisoned row still diverges on the final full pass; the report
     # says so instead of the fit call failing
     assert np.isinf(report.final_train_mse)
+
+
+def test_a_non_finite_loss_is_a_skipped_step_that_warns_nothing():
+    # the batches holding row 0 overflow in the loss only, not in the
+    # forward pass: each is one skipped step, and the final MSE is inf
+    # without an overflow warning from the bookkeeping pass
+    X = np.random.default_rng(16).uniform(-1, 1, size=(63, 1))
+    Y = 0.5 * X
+    Y[0] = 1e160
+    data = Dataset(X, Y, ["x"], ["y"])
+    model = TmpnnModel.create(1, 1, order=2, steps=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = fit(model, data, config=TrainConfig(epochs=3, batch_size=21))
+    assert report.diverged_steps == 3
+    assert report.final_train_mse == np.inf
+    with pytest.raises(DivergenceError, match="non-finite"):
+        loss_and_gradient(model, data.take(np.arange(21)))
+
+
+def test_scaler_rejects_non_finite_parameters():
+    with pytest.raises(ValueError, match="scale"):
+        Scaler(mean=[0.0], scale=[np.inf])
+    with pytest.raises(ValueError, match="mean"):
+        Scaler(mean=[np.nan], scale=[1.0])
+
+
+def test_model_rejects_non_finite_parameters():
+    args = dict(n_features=1, n_targets=1, n_latent=0, steps=2,
+                map=identity_weights(2, 2))
+    with pytest.raises(ValueError, match="init_state"):
+        TmpnnModel(**args, init_state=[np.nan])
+    with pytest.raises(ValueError, match="reg_l1"):
+        TmpnnModel(**args, init_state=[0.0], reg_l1=np.nan)
+    with pytest.raises(ValueError, match="reg_l2"):
+        TmpnnModel(**args, init_state=[0.0], reg_l2=np.inf)
+
+
+def test_model_rejects_a_scaler_of_the_wrong_width():
+    # it used to fail only at predict, with numpy's broadcast error
+    with pytest.raises(ValueError, match="scaler"):
+        TmpnnModel(n_features=1, n_targets=1, n_latent=0, steps=2,
+                   map=identity_weights(2, 2), init_state=[0.0],
+                   scaler=Scaler(mean=[0.0, 0.0], scale=[1.0, 1.0]))
 
 
 def test_validation_errors():

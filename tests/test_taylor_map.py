@@ -2,6 +2,8 @@
 batched forward pass, and its derivatives from the basis's derivative
 table."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from test_basis import monomial_jacobian
@@ -134,7 +136,7 @@ def test_grads_match_finite_differences():
         for _ in range(3):
             i = int(rng.integers(0, basis.size))
             j = int(rng.integers(0, dim))
-            wp, wm = w.copy(), w.copy()
+            wp, wm = (replace(w, delta=w.delta.copy()) for _ in range(2))
             wp.delta[i, j] += h
             wm.delta[i, j] -= h
             fd = (apply(wp, z) - apply(wm, z)) / (2 * h)
