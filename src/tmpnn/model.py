@@ -52,9 +52,23 @@ class Scaler:
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Scaler":
-        """Mean/std scaler from data; zero-variance columns get scale 1."""
-        mean = X.mean(axis=0)
-        scale = X.std(axis=0)
+        """Mean/std scaler from data; zero-variance columns get scale 1.
+
+        A column whose mean or standard deviation is not finite is a
+        ValueError naming it: for finite values, their spread overflows
+        float64.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = X.mean(axis=0)
+            scale = X.std(axis=0)
+        bad = ~(np.isfinite(mean) & np.isfinite(scale))
+        if bad.any():
+            col = int(np.flatnonzero(bad)[0])
+            cause = ("its spread overflows float64"
+                     if np.isfinite(X[:, col]).all()
+                     else "it holds non-finite values")
+            raise ValueError(f"feature column {col} has a non-finite mean or "
+                             f"standard deviation: {cause}")
         scale = np.where(scale > 0, scale, 1.0)
         return cls(mean=mean, scale=scale)
 
@@ -154,10 +168,24 @@ class TmpnnModel:
     def initial_state(self, X: np.ndarray) -> np.ndarray:
         """Extended start states: scaled features then init_state slots.
 
-        A wrong width or a non-finite feature (named by row and column) is
-        a ValueError here, before any map application.
+        A 1-D X is one row.  A wrong width or rank, or a non-finite
+        feature (named by row and column), is a ValueError here, before
+        any map application.  Beyond the (N, dim) result it holds only a
+        boolean finiteness mask of X.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = self._checked_features(X)
+        z0 = np.empty((X.shape[0], self.dim))
+        self._fill_states(X, z0)
+        return z0
+
+    def _checked_features(self, X) -> np.ndarray:
+        """X as a float64 (N, n_features) array, a view of X when it is
+        one; a ValueError on a wrong width or rank or a non-finite value."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim > 2:
+            raise ValueError(f"expected one row or a 2-D table of rows, "
+                             f"got an array of shape {X.shape}")
+        X = np.atleast_2d(X)
         if X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} feature columns, "
                              f"got {X.shape[1]}")
@@ -165,20 +193,35 @@ class TmpnnModel:
             row, col = np.argwhere(~np.isfinite(X))[0]
             raise ValueError(f"feature value {X[row, col]} at row {row}, "
                              f"column {col} is not finite")
-        if self.scaler is not None:
-            X = self.scaler.transform(X)
-        z0 = np.empty((X.shape[0], self.dim))
-        z0[:, :self.n_features] = X
-        z0[:, self.n_features:] = self.init_state
-        return z0
+        return X
+
+    def _fill_states(self, X: np.ndarray, out: np.ndarray) -> None:
+        """Write the start states of the checked rows X into out, a
+        (len(X), dim) buffer: the operations of Scaler.transform, so the
+        values are those of a full-array transform to the bit."""
+        features = out[:, :self.n_features]
+        if self.scaler is None:
+            features[...] = X
+        else:
+            np.subtract(X, self.scaler.mean, out=features)
+            np.divide(features, self.scaler.scale, out=features)
+        out[:, self.n_features:] = self.init_state
+
+
+def _is_int_at_least(value, least: int) -> bool:
+    """Whether value is an integer (not a bool) of at least least."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= least)
 
 
 @dataclass
 class TrainConfig:
     """Knobs for fit(), which minimizes MSE with AdamaxState's moment
-    constants.  batch_size may be the string "full".  early_stop, when
-    set, is a (patience, min_delta) pair: an int >= 1 and a finite
-    number >= 0."""
+    constants.  epochs is an int >= 1; batch_size an int >= 1 or the
+    string "full"; learning_rate a finite number > 0; shuffle_seed an
+    int >= 0.  early_stop, when set, is a (patience, min_delta) pair: an
+    int >= 1 and a finite number >= 0.  A bool is not an int here, and
+    a malformed field is a ValueError naming it."""
 
     epochs: int = 1000
     batch_size: int | str = 256
@@ -187,23 +230,28 @@ class TrainConfig:
     early_stop: tuple[int, float] | None = None
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if isinstance(self.batch_size, str):
-            if self.batch_size != "full":
-                raise ValueError("batch_size must be a positive int or 'full'")
-        elif self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not _is_int_at_least(self.epochs, 1):
+            raise ValueError(f"epochs must be an int >= 1, got {self.epochs!r}")
+        if not (_is_int_at_least(self.batch_size, 1)
+                or self.batch_size == "full"):
+            raise ValueError(f"batch_size must be an int >= 1 or 'full', "
+                             f"got {self.batch_size!r}")
+        if (not isinstance(self.learning_rate, numbers.Real)
+                or isinstance(self.learning_rate, bool)
+                or not math.isfinite(self.learning_rate)
+                or self.learning_rate <= 0):
+            raise ValueError(f"learning_rate must be a finite number > 0, "
+                             f"got {self.learning_rate!r}")
+        if not _is_int_at_least(self.shuffle_seed, 0):
+            raise ValueError(f"shuffle_seed must be an int >= 0, "
+                             f"got {self.shuffle_seed!r}")
         if self.early_stop is not None:
             try:
                 patience, min_delta = self.early_stop
             except (TypeError, ValueError):
                 raise ValueError(f"early_stop must be a (patience, min_delta) "
                                  f"pair, got {self.early_stop!r}") from None
-            if (not isinstance(patience, numbers.Integral)
-                    or isinstance(patience, bool) or patience < 1):
+            if not _is_int_at_least(patience, 1):
                 raise ValueError(f"early_stop patience must be an int >= 1, "
                                  f"got {patience!r}")
             if (not isinstance(min_delta, numbers.Real)
@@ -318,14 +366,18 @@ def forward(model: TmpnnModel, x) -> tuple[np.ndarray, list[np.ndarray]]:
 def predict(model: TmpnnModel, X) -> np.ndarray:
     """Predict an (N, n_targets) matrix for an (N, n_features) input.
 
-    The rows run through the p map applications in consecutive, evenly
-    split blocks whose monomial matrix fits a fixed budget of about 512
-    KiB, so memory beyond X and the result is bounded whatever N is.  No
-    block is a single row unless N == 1, so each row's prediction is the
-    one a single pass over all rows gives, to the last bit for bases
-    within one BLAS block of the phi @ delta sum (a few hundred
-    monomials; wider ones may round the last bits by row count, in one
-    pass as in blocks).
+    X is checked whole first (see TmpnnModel.initial_state), so bad input
+    fails before any map application.  The rows then run through the p
+    map applications in consecutive, evenly split blocks whose monomial
+    matrix fits a fixed budget of about 512 KiB; each block's start
+    states are built and scaled in a buffer of its own.  Besides a
+    float64 view of X (a copy only when X is not one already) and the
+    result, predict holds one boolean finiteness mask of X, during the
+    check, and one block's buffers, whatever N is.  No block is a single
+    row unless N == 1, so each row's prediction is the one a single pass
+    over all rows gives, to the last bit for bases within one BLAS block
+    of the phi @ delta sum (a few hundred monomials; wider ones may round
+    the last bits by row count, in one pass as in blocks).
 
     Raises ValueError on bad input (see TmpnnModel.initial_state), and
     DivergenceError, carrying step, row and state, when a row overflows.
@@ -335,25 +387,29 @@ def predict(model: TmpnnModel, X) -> np.ndarray:
     checked once, after its last map application (see _forward_states),
     which reports the same error as a check after every application.
     """
-    Z0 = model.initial_state(X)
+    X = model._checked_features(X)
     n, m = model.n_features, model.n_targets
     size = model.basis.size
-    N = Z0.shape[0]
+    N = X.shape[0]
     out = np.empty((N, m))
     # even blocks: no block has a single row unless N == 1
     n_blocks = max(1, -(-N // _block_rows(model.basis)))
     bounds = [N * i // n_blocks for i in range(n_blocks + 1)]
     longest = -(-N // n_blocks)
+    z0 = np.empty((longest, model.dim))
     after = np.empty((model.steps, longest, model.dim))
     phi = np.empty(size * longest)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start, stop in zip(bounds, bounds[1:]):
-            # predict keeps no monomial matrix: one buffer serves every step
-            phis = [_leading(phi, size, stop - start)] * model.steps
-            states = _forward_states(model, Z0[start:stop],
-                                     after[:, :stop - start], phis,
+    for start, stop in zip(bounds, bounds[1:]):
+        rows = stop - start
+        # scaling is outside the scope: an overflow there warns, as in
+        # initial_state
+        model._fill_states(X[start:stop], z0[:rows])
+        # predict keeps no monomial matrix: one buffer serves every step
+        phis = [_leading(phi, size, rows)] * model.steps
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = _forward_states(model, z0[:rows], after[:, :rows], phis,
                                      first_row=start)
-            out[start:stop] = states[-1][:, n:n + m]
+        out[start:stop] = states[-1][:, n:n + m]
     return out
 
 

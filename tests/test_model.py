@@ -105,19 +105,31 @@ def test_chunked_predict_of_a_basis_wider_than_a_gemm_block():
                                rtol=1e-12, atol=1e-15)
 
 
-def test_predict_memory_is_bounded_by_the_block_budget():
-    # the unchunked pass held a (50k x 84) monomial matrix per step, 140 MB
-    # in all; the blocks keep the peak to the input, output and a block
-    model = TmpnnModel.create(5, 1, order=3, steps=5)
-    X = np.random.default_rng(22).uniform(0.0, 1.0, size=(50_000, 5))
-    model.scaler = Scaler.fit(X)
+def _traced_predict_peak(model, X):
     tracemalloc.start()
     try:
         predict(model, X)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    return peak
+
+
+def test_predict_memory_is_bounded_by_the_block_budget():
+    # the unchunked pass held a (50k x 84) monomial matrix per step, 140 MB
+    # in all; the blocks keep the peak to the input, output and a block
+    model = TmpnnModel.create(5, 1, order=3, steps=5)
+    X = np.random.default_rng(22).uniform(0.0, 1.0, size=(50_000, 5))
+    model.scaler = Scaler.fit(X)
+    assert _traced_predict_peak(model, X) < 16 * 2 ** 20
+    # start states are built and scaled per block too: past the result
+    # (N x m doubles) and the finiteness mask of X (N x n bools) nothing
+    # grows with N; whole-input start states held 14 MiB more here
+    N = 200_000
+    X = np.random.default_rng(25).uniform(0.0, 1.0, size=(N, 5))
+    model.scaler = Scaler.fit(X)
+    transient = _traced_predict_peak(model, X) - N * 1 * 8 - N * 5
+    assert transient < 2 * 2 ** 20
 
 
 def test_identity_zero_targets_zero_loss_and_gradient():
@@ -417,6 +429,10 @@ def test_non_finite_input_is_a_value_error_naming_row_and_column():
         predict(model, X)
     with pytest.raises(ValueError, match="row 0, column 2"):
         forward(model, [0.0, 1.0, -np.inf])
+    # a 3-D array whose second axis has the width used to pass the width
+    # check and fail in numpy's broadcasting
+    with pytest.raises(ValueError, match=r"2-D table.*shape \(4, 3, 1\)"):
+        predict(model, np.zeros((4, 3, 1)))
 
 
 def test_training_divergence_aborts_with_guidance():
@@ -470,6 +486,23 @@ def test_scaler_rejects_non_finite_parameters():
         Scaler(mean=[0.0], scale=[np.inf])
     with pytest.raises(ValueError, match="mean"):
         Scaler(mean=[np.nan], scale=[1.0])
+
+
+def test_scaler_fit_names_a_column_whose_spread_overflows():
+    # finite values whose squares overflow: std is inf, which used to warn
+    # "overflow encountered in square" and fail on the scale check
+    X = np.array([[0.0, 1e200], [1.0, -1e200], [2.0, 3e199], [3.0, 0.0]])
+    data = Dataset(X, np.zeros((4, 1)), ["a", "b"], ["y"])
+    model = TmpnnModel.create(2, 1, order=2, steps=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="column 1 .*spread overflows float64"):
+            Scaler.fit(X)
+        with pytest.raises(ValueError,
+                           match="column 1 .*spread overflows float64"):
+            fit(model, data, config=TrainConfig(epochs=1))
+    assert model.scaler is None
 
 
 def test_model_rejects_non_finite_parameters():
@@ -526,6 +559,32 @@ def test_validation_errors():
 def test_train_config_rejects_a_malformed_early_stop(early_stop, fragment):
     with pytest.raises(ValueError, match=fragment):
         TrainConfig(early_stop=early_stop)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epochs", 2.5),
+    ("epochs", True),
+    ("epochs", "3"),
+    ("batch_size", 2.5),
+    ("batch_size", True),
+    ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")),
+    ("learning_rate", "0.1"),
+    ("shuffle_seed", -1),
+    ("shuffle_seed", 1.5),
+    ("shuffle_seed", None),
+])
+def test_train_config_rejects_a_malformed_field(field, value):
+    # each used to be accepted, or to fail inside fit with another error
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_numpy_scalars():
+    config = TrainConfig(epochs=np.int64(2), batch_size=np.int32(16),
+                         learning_rate=np.float32(0.01),
+                         shuffle_seed=np.uint8(3))
+    assert config.batch_size == 16 and config.shuffle_seed == 3
 
 
 def test_train_config_accepts_a_well_formed_early_stop():
