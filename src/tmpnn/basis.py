@@ -4,8 +4,10 @@ A state vector z of dimension d has Kronecker powers z, z^[2], ..., z^[k]
 whose entries repeat: z1*z2 and z2*z1 are the same number.  This module
 enumerates each distinct monomial of total degree <= k exactly once, in a
 fixed deterministic order, evaluates the monomials at a batch of states,
-and tabulates each monomial divided by each of its variables, which is all
-the derivative of the basis needs: d(z^a)/dz_j = a_j z^(a - e_j).
+and tabulates each monomial of degree below k times each variable, which
+is all the derivative of the basis needs: d(z^a)/dz_j = a_j z^(a - e_j),
+so z^(b + e_j) is the one monomial whose derivative along z_j is a
+multiple of z^b, namely b_j + 1 times it.
 Everything downstream (weight layout, serialization, the ODE view)
 depends on this ordering, so it is part of the package contract:
 
@@ -40,22 +42,19 @@ class MonomialBasis:
         exponents: (size, dim) int array; row i is the exponent vector of
             monomial i.  Row 0 is the all-zeros constant term.
         degrees: (size,) int array of total degrees, non-decreasing.
-        parent: (size,) int array; for a non-constant monomial i,
-            parent[i] == lowered[i, parent_var[i]].  Lets monomials be
-            built degree by degree from one product each.
+        parent: (size,) int array; for a non-constant monomial i, the
+            index of monomial i divided by z_{parent_var[i]}.  Lets
+            monomials be built degree by degree from one product each.
         parent_var: (size,) int array, the first variable of monomial i;
             0 for the constant, whose parent is itself.
-        lowered: (size, dim) int array; lowered[i, j] is the index of
-            monomial i divided by z_j where exponents[i, j] > 0, and -1
-            elsewhere, so d(monomial i)/dz_j = exponents[i, j] * monomial
-            lowered[i, j].  The derivative of the whole basis is thus a
-            basis of one degree less, indexed by this one table.
+        raised: (low * dim,) int array, low = degree_slice(order).start;
+            raised[l * dim + j] is the index of monomial l times z_j, the
+            one monomial whose derivative along z_j is a multiple of
+            monomial l: exponents[l, j] + 1 times it.  So the derivative
+            of the basis, a basis of one degree less, is this one table.
         degree_blocks: per degree q = 0..order, the read-only pair
             (degree_slice(q), parent[block]) that evaluation reads, so
             no call re-slices the tables.
-        deriv_terms: the nonzero exponents in row-major order as four
-            read-only arrays (i, j, lowered[i, j], exponents[i, j]): the
-            terms of the basis derivative the backward pass scatters.
         jac_rows: per variable j, the read-only array of the monomials
             that contain z_j (the benchmark's tracer counts them).
     """
@@ -66,9 +65,8 @@ class MonomialBasis:
     degrees: np.ndarray
     parent: np.ndarray
     parent_var: np.ndarray
-    lowered: np.ndarray
+    raised: np.ndarray
     degree_blocks: tuple[tuple[slice, np.ndarray], ...]
-    deriv_terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     jac_rows: tuple[np.ndarray, ...]
 
     @property
@@ -119,22 +117,19 @@ def build_basis(dim: int, order: int) -> MonomialBasis:
     degrees = exponents.sum(axis=1)
 
     index_of = {combo: i for i, combo in enumerate(combos)}
-    lowered = np.full((size, dim), -1, dtype=np.int64)
-    for i, combo in enumerate(combos):
-        # a combo lists z_var once per power, so drop one occurrence
-        for k, var in enumerate(combo):
-            lowered[i, var] = index_of[combo[:k] + combo[k + 1:]]
-
-    # combos are ascending, so combo[0] is the first variable present
+    # combos are ascending, so c[0] is the first variable present and
+    # c[1:] the monomial divided by it
     parent_var = np.array([0] + [c[0] for c in combos[1:]], dtype=np.int64)
-    parent = lowered[np.arange(size), parent_var]
-    parent[0] = 0
+    parent = np.array([0] + [index_of[c[1:]] for c in combos[1:]],
+                      dtype=np.int64)
+    low = int(degrees.searchsorted(order))
+    raised = np.array([index_of[tuple(sorted(c + (j,)))]
+                       for c in combos[:low] for j in range(dim)],
+                      dtype=np.int64)
 
     rows, var = np.nonzero(exponents)
-    deriv_terms = (rows, var, lowered[rows, var], exponents[rows, var])
     jac_rows = tuple(rows[var == j] for j in range(dim))
-    for arr in (exponents, degrees, parent, parent_var, lowered,
-                *deriv_terms, *jac_rows):
+    for arr in (exponents, degrees, parent, parent_var, raised, *jac_rows):
         arr.setflags(write=False)
     # slices of read-only tables are read-only views
     bounds = degrees.searchsorted(np.arange(order + 2)).tolist()
@@ -143,8 +138,8 @@ def build_basis(dim: int, order: int) -> MonomialBasis:
         for block in (slice(a, b) for a, b in zip(bounds, bounds[1:])))
     return MonomialBasis(dim=int(dim), order=int(order), exponents=exponents,
                          degrees=degrees, parent=parent, parent_var=parent_var,
-                         lowered=lowered, degree_blocks=degree_blocks,
-                         deriv_terms=deriv_terms, jac_rows=jac_rows)
+                         raised=raised, degree_blocks=degree_blocks,
+                         jac_rows=jac_rows)
 
 
 def eval_monomials_batch(basis: MonomialBasis, Z: np.ndarray,

@@ -30,9 +30,26 @@ def _parse_targets(spec: str):
 
 
 def _parse_batch(spec: str):
+    """--batch: an integer or 'full'; anything else is a usage error."""
     if spec == "full":
         return "full"
-    return int(spec)
+    try:
+        return int(spec)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or 'full', got {spec!r}") from None
+
+
+def _parse_column_quantile(spec: str) -> tuple[str, float]:
+    """--split-quantile: COLUMN:Q as (column, q); the column may hold ':'."""
+    column, _, q = spec.rpartition(":")
+    if not column:
+        raise argparse.ArgumentTypeError(f"expected COLUMN:Q, got {spec!r}")
+    try:
+        return column, float(q)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number Q in COLUMN:Q, got {q!r}") from None
 
 
 def _generate(generator: str, args):
@@ -65,11 +82,7 @@ def _split(args, dataset):
         raise ValueError("--test-fraction and --split-quantile are mutually "
                          "exclusive")
     if args.split_quantile is not None:
-        column, _, q = args.split_quantile.rpartition(":")
-        if not column:
-            raise ValueError(f"--split-quantile expects column:quantile, "
-                             f"got {args.split_quantile!r}")
-        return datamod.split_quantile(dataset, column, float(q))
+        return datamod.split_quantile(dataset, *args.split_quantile)
     if args.test_fraction is not None:
         return datamod.split_random(dataset, args.test_fraction, args.seed)
     return dataset, None
@@ -87,7 +100,7 @@ def cmd_train(args) -> int:
         reg_l1=args.l1, reg_l2=args.l2,
         standardize=(args.standardize == "on"))
     config = modelmod.TrainConfig(epochs=args.epochs,
-                                  batch_size=_parse_batch(args.batch),
+                                  batch_size=args.batch,
                                   learning_rate=args.lr,
                                   shuffle_seed=args.seed)
     report = modelmod.fit(model, train, config=config)
@@ -280,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=5)
     p.add_argument("--latent", type=int, default=0)
     p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--batch", default="256",
+    p.add_argument("--batch", type=_parse_batch, default="256",
                    help="batch size, or 'full' (default 256)")
     p.add_argument("--lr", type=float, default=0.002)
     p.add_argument("--l1", type=float, default=0.0)
@@ -289,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-fraction", type=float,
                    help="hold out a random fraction for test metrics")
     p.add_argument("--split-quantile", metavar="COLUMN:Q",
+                   type=_parse_column_quantile,
                    help="train below the column quantile, test above it")
     p.add_argument("--standardize", choices=["on", "off"], default="on")
     p.add_argument("--init", choices=["identity", "perturbed"],
@@ -312,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-fraction", type=float,
                    help="evaluate only a random test portion")
     p.add_argument("--split-quantile", metavar="COLUMN:Q",
+                   type=_parse_column_quantile,
                    help="evaluate only rows above the column quantile")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_evaluate)

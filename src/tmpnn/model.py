@@ -72,8 +72,11 @@ class Scaler:
         scale = np.where(scale > 0, scale, 1.0)
         return cls(mean=mean, scale=scale)
 
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.mean) / self.scale
+    def transform(self, X: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """(X - mean) / scale, written into out when given (and returned)."""
+        out = np.subtract(X, self.mean, out=out)
+        return np.divide(out, self.scale, out=out)
 
 
 @dataclass
@@ -109,10 +112,7 @@ class TmpnnModel:
     scaler: Scaler | None = None
 
     def __post_init__(self):
-        if self.n_features < 1 or self.n_targets < 1 or self.n_latent < 0:
-            raise ValueError("need n_features >= 1, n_targets >= 1, n_latent >= 0")
-        if self.steps < 1:
-            raise ValueError("need steps >= 1")
+        _check_sizes(self.n_features, self.n_targets, self.n_latent, self.steps)
         if self.map.dim != self.dim:
             raise ValueError(f"map dimension {self.map.dim} does not equal "
                              f"n_features + n_targets + n_latent = {self.dim}")
@@ -152,6 +152,7 @@ class TmpnnModel:
         init is "identity" (the map starts as the identity) or "perturbed"
         (identity plus N(0, 1e-4)-variance noise on every coefficient).
         """
+        _check_sizes(n_features, n_targets, n_latent, steps)
         dim = n_features + n_targets + n_latent
         weights = identity_weights(dim, order)
         if init == "perturbed":
@@ -197,14 +198,13 @@ class TmpnnModel:
 
     def _fill_states(self, X: np.ndarray, out: np.ndarray) -> None:
         """Write the start states of the checked rows X into out, a
-        (len(X), dim) buffer: the operations of Scaler.transform, so the
-        values are those of a full-array transform to the bit."""
+        (len(X), dim) buffer; scaling is elementwise, so the values are
+        those of a full-array transform to the bit."""
         features = out[:, :self.n_features]
         if self.scaler is None:
             features[...] = X
         else:
-            np.subtract(X, self.scaler.mean, out=features)
-            np.divide(features, self.scaler.scale, out=features)
+            self.scaler.transform(X, out=features)
         out[:, self.n_features:] = self.init_state
 
 
@@ -212,6 +212,16 @@ def _is_int_at_least(value, least: int) -> bool:
     """Whether value is an integer (not a bool) of at least least."""
     return (isinstance(value, numbers.Integral)
             and not isinstance(value, bool) and value >= least)
+
+
+def _check_sizes(n_features, n_targets, n_latent, steps) -> None:
+    """A ValueError naming the first model size that is not an int (a
+    numpy integer is one, a bool is not) of at least its least value."""
+    for name, value, least in (("n_features", n_features, 1),
+                               ("n_targets", n_targets, 1),
+                               ("n_latent", n_latent, 0), ("steps", steps, 1)):
+        if not _is_int_at_least(value, least):
+            raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
 
 @dataclass
@@ -420,7 +430,7 @@ class _Workspace:
     a shorter batch uses leading views.  It holds the start states and
     the p after them, the p monomial matrices the backward pass reads,
     the layer Jacobians, the targets, and the Jacobian coefficient
-    table C.
+    table C with the column of factors its gathered rows are scaled by.
     """
 
     def __init__(self, model: TmpnnModel, rows: int):
@@ -428,12 +438,12 @@ class _Workspace:
         self.z0 = np.empty((rows, dim))
         self.states = np.empty((model.steps, rows, dim))
         self.phis = np.empty(model.steps * basis.size * rows)
-        self.jac = np.empty(rows * dim * dim)
+        self.jac = np.empty((rows, dim * dim))
         self.Y = np.empty((rows, model.n_targets))
-        # the scatter in _step writes the same positions every time, and
-        # dividing by z_j is injective, so no (row, j) of C is written twice
+        # _step overwrites every row of C, so it starts empty
         low = basis.degree_slice(basis.order).start
-        self.C = np.zeros((low, dim, dim))
+        self.C = np.empty((low * dim, dim))
+        self.mult = basis.exponents[:low].reshape(-1, 1) + 1.0
 
 
 def _step(model: TmpnnModel, ws: _Workspace, rows: int):
@@ -443,8 +453,6 @@ def _step(model: TmpnnModel, ws: _Workspace, rows: int):
     basis = model.basis
     delta = model.map.delta
     phis = _leading(ws.phis, model.steps, basis.size, rows)
-    low = ws.C.shape[0]
-    terms, var, lowered, exps = basis.deriv_terms
     # overflow surfaces as a DivergenceError, from the forward pass or from
     # the loss and gradient check at the end
     with np.errstate(over="ignore", invalid="ignore"):
@@ -458,11 +466,14 @@ def _step(model: TmpnnModel, ws: _Workspace, rows: int):
         G[:, n:n + m] = (2.0 / resid.size) * resid
 
         # the layer Jacobian I + (dphi/dZ)^T delta is a polynomial in the
-        # monomials of degree below k, since d(phi_i)/dz_j = exponents[i, j]
-        # * phi[lowered[i, j]]
-        ws.C[lowered, var] = exps[:, None] * delta[terms]
-        C = ws.C.reshape(low, dim * dim)
-        J = _leading(ws.jac, rows, dim * dim)
+        # monomials of degree below k: the coefficient row (l, j) of
+        # monomial l is (exponents[l, j] + 1) * delta[raised[l * dim + j]].
+        # raised is valid by construction; "clip" skips numpy's buffering
+        np.take(delta, basis.raised, axis=0, out=ws.C, mode="clip")
+        ws.C *= ws.mult
+        C = ws.C.reshape(-1, dim * dim)
+        low = C.shape[0]
+        J = ws.jac[:rows]
 
         d_delta = np.zeros_like(delta)
         for t in range(model.steps - 1, -1, -1):

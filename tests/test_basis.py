@@ -18,12 +18,15 @@ def eval_monomials(basis, z):
 
 
 def monomial_jacobian(basis, z):
-    """(size, dim) derivatives of the monomials at z, assembled from the
-    table backpropagation uses: exponents[i, j] * phi[lowered[i, j]]."""
-    phi = eval_monomials(basis, z)
-    rows, var = np.nonzero(basis.exponents)
-    jac = np.zeros((basis.size, basis.dim))
-    jac[rows, var] = basis.exponents[rows, var] * phi[basis.lowered[rows, var]]
+    """(size, dim) derivatives of the monomials at z from plain powers,
+    d(z^a)/dz_j = a_j z^(a - e_j), reading no derivative table."""
+    z = np.asarray(z, dtype=float)
+    a = basis.exponents
+    jac = np.empty((basis.size, basis.dim))
+    for j in range(basis.dim):
+        # a_j = 0 zeroes the column, so clip the power there at 0
+        powers = np.maximum(a - np.eye(basis.dim, dtype=int)[j], 0)
+        jac[:, j] = a[:, j] * np.prod(z ** powers, axis=1)
     return jac
 
 
@@ -112,18 +115,14 @@ def test_degree_blocks_are_read_only_views_of_the_tables():
                 parent[0] = 0
 
 
-def test_derivative_terms_are_read_only_and_match_the_tables():
+def test_derivative_tables_are_read_only():
     for dim, order in [(1, 1), (2, 2), (3, 4), (6, 3)]:
         basis = build_basis(dim, order)
-        rows, var = np.nonzero(basis.exponents)
-        expected = (rows, var, basis.lowered[rows, var],
-                    basis.exponents[rows, var])
-        assert len(basis.deriv_terms) == 4
-        for got, want in zip(basis.deriv_terms, expected):
-            np.testing.assert_array_equal(got, want)
+        low = basis.degree_slice(order).start
+        assert basis.raised.shape == (low * dim,)
         assert isinstance(basis.jac_rows, tuple)
         assert len(basis.jac_rows) == dim
-        for table in (*basis.deriv_terms, *basis.jac_rows):
+        for table in (basis.raised, basis.parent, *basis.jac_rows):
             with pytest.raises(ValueError):
                 table[0] = 0
 
@@ -231,21 +230,24 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_jacobian_sparse_tables_match_dense():
-    # against the dense exponent table: lowered[i, j] is monomial i divided
-    # by z_j, and the -1 sentinel sits exactly where z_j does not divide it
-    for dim, order in [(1, 3), (2, 4), (4, 3), (5, 2)]:
+    # against the dense exponent table: raised[l * dim + j] is monomial l
+    # times z_j, so the rows of degree below order reach every nonzero
+    # exponent (i, j) exactly once, from l = i / z_j
+    for dim, order in [(1, 1), (1, 3), (2, 4), (4, 3), (5, 2), (6, 1)]:
         basis = build_basis(dim, order)
-        assert basis.lowered.shape == (basis.size, dim)
-        np.testing.assert_array_equal(basis.lowered == -1,
-                                      basis.exponents == 0)
-        rows, var = np.nonzero(basis.exponents)
-        expected = basis.exponents[rows].copy()
-        expected[np.arange(len(rows)), var] -= 1
-        np.testing.assert_array_equal(
-            basis.exponents[basis.lowered[rows, var]], expected)
+        exps = basis.exponents
+        low = basis.degree_slice(order).start
+        unit = np.eye(dim, dtype=exps.dtype)
+        raised = basis.raised.reshape(low, dim)
+        for j in range(dim):
+            np.testing.assert_array_equal(exps[raised[:, j]],
+                                          exps[:low] + unit[j])
+        reached = np.zeros_like(exps)
+        np.add.at(reached, (basis.raised, np.tile(np.arange(dim), low)), 1)
+        np.testing.assert_array_equal(reached, exps > 0)
         for j in range(dim):
             np.testing.assert_array_equal(basis.jac_rows[j],
-                                          np.nonzero(basis.exponents[:, j])[0])
+                                          np.nonzero(exps[:, j])[0])
         np.testing.assert_array_equal(
-            basis.parent[1:],
-            basis.lowered[np.arange(1, basis.size), basis.parent_var[1:]])
+            exps[basis.parent[1:]], exps[1:] - unit[basis.parent_var[1:]])
+        assert basis.parent[0] == 0

@@ -303,6 +303,25 @@ def test_argparse_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["train", "--gen", "linear", "--batch", "abc", "--out", "m.json"],
+     "--batch"),
+    (["train", "--gen", "linear", "--split-quantile", "x:abc",
+      "--out", "m.json"], "--split-quantile"),
+    (["train", "--gen", "linear", "--split-quantile", "0.5",
+      "--out", "m.json"], "--split-quantile"),
+    (["evaluate", "--model", "m.json", "--data", "d.csv",
+      "--split-quantile", "x:"], "--split-quantile"),
+])
+def test_a_malformed_flag_value_is_a_usage_error_naming_the_flag(
+        argv, flag, capsys):
+    # the first two used to exit 1 with Python's conversion message only
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
 def test_console_script_runs():
     proc = subprocess.run([sys.executable, "-m", "tmpnn.cli", "--help"],
                           capture_output=True, text=True)

@@ -311,6 +311,18 @@ def test_standardization_round_trip():
                                   predict(model_b, (Xnew - mean) / scale))
 
 
+def test_scaler_transform_writes_into_a_buffer_bit_for_bit():
+    scaler = Scaler(mean=[1.0, -2.0], scale=[3.0, 0.7])
+    X = np.random.default_rng(16).normal(size=(7, 2))
+    want = (X - scaler.mean) / scaler.scale
+    assert scaler.transform(X).tobytes() == want.tobytes()
+    # the feature columns of a wider state buffer, as predict passes them
+    buf = np.full((7, 4), np.nan)
+    assert scaler.transform(X, out=buf[:, 1:3]).base is buf
+    assert buf[:, 1:3].tobytes() == want.tobytes()
+    assert np.isnan(buf[:, [0, 3]]).all()
+
+
 def test_refit_keeps_the_scaler():
     # a warm start on a subset must train in the coordinates the map was
     # learned in, not in ones refitted to the subset
@@ -522,6 +534,34 @@ def test_model_rejects_a_scaler_of_the_wrong_width():
         TmpnnModel(n_features=1, n_targets=1, n_latent=0, steps=2,
                    map=identity_weights(2, 2), init_state=[0.0],
                    scaler=Scaler(mean=[0.0, 0.0], scale=[1.0, 1.0]))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_features", 2.0),
+    ("n_features", True),
+    ("n_targets", 1.0),
+    ("n_targets", True),
+    ("n_latent", 1.0),
+    ("n_latent", True),
+    ("steps", 2.5),
+    ("steps", True),
+    ("steps", "3"),
+])
+def test_model_rejects_a_size_that_is_not_an_int(field, value):
+    # each used to construct, or to fail with another error, in create or
+    # later in predict
+    sizes = dict(n_features=2, n_targets=1, n_latent=0, steps=2)
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        TmpnnModel.create(**{**sizes, field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        TmpnnModel(**{**sizes, field: value}, map=identity_weights(3, 2),
+                   init_state=[0.0])
+
+
+def test_model_accepts_numpy_integer_sizes():
+    model = TmpnnModel.create(np.int64(2), np.int32(1), n_latent=np.int64(1),
+                              steps=np.int16(3), standardize=False)
+    assert predict(model, np.ones((4, 2))).shape == (4, 1)
 
 
 def test_validation_errors():

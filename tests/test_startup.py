@@ -29,6 +29,7 @@ def python(*args, env=None):
     (["-c", "import tmpnn.cli"], 0),
     (["-m", "tmpnn.cli", "--help"], 0),
     (["-m", "tmpnn.cli", "train", "--data"], 2),
+    (["-m", "tmpnn.cli", "train", "--batch", "abc", "--out", "m.json"], 2),
 ])
 def test_start_up_loads_no_numpy(args, code):
     # -X importtime lists every module the process imports on stderr
