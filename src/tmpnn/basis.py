@@ -81,7 +81,6 @@ class MonomialBasis:
         return self.degree_blocks[q][0]
 
 
-@lru_cache(maxsize=None)
 def build_basis(dim: int, order: int) -> MonomialBasis:
     """Enumerate the reduced monomial basis for (dim, order).
 
@@ -94,17 +93,24 @@ def build_basis(dim: int, order: int) -> MonomialBasis:
         (immutable) object.
 
     Raises:
-        ValueError: if dim < 1 or order < 1.
+        ValueError: if dim or order is not an integer (a numpy integer
+            is one, a bool is not) of at least 1.
 
     Example:
         >>> build_basis(2, 2).exponents.tolist()
         [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]
     """
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim!r}")
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValueError(f"order must be a positive integer, got {order!r}")
+    # checked before the cache, which would answer 3.0 for a cached 3
+    for name, value in (("dim", dim), ("order", order)):
+        if (not isinstance(value, (int, np.integer))
+                or isinstance(value, bool) or value < 1):
+            raise ValueError(f"{name} must be a positive integer, "
+                             f"got {value!r}")
+    return _build_basis(int(dim), int(order))
 
+
+@lru_cache(maxsize=None)
+def _build_basis(dim: int, order: int) -> MonomialBasis:
     combos: list[tuple[int, ...]] = []
     for q in range(order + 1):
         combos.extend(itertools.combinations_with_replacement(range(dim), q))
@@ -136,7 +142,7 @@ def build_basis(dim: int, order: int) -> MonomialBasis:
     degree_blocks = tuple(
         (block, parent[block])
         for block in (slice(a, b) for a, b in zip(bounds, bounds[1:])))
-    return MonomialBasis(dim=int(dim), order=int(order), exponents=exponents,
+    return MonomialBasis(dim=dim, order=order, exponents=exponents,
                          degrees=degrees, parent=parent, parent_var=parent_var,
                          raised=raised, degree_blocks=degree_blocks,
                          jac_rows=jac_rows)
@@ -162,11 +168,15 @@ def eval_monomials_batch(basis: MonomialBasis, Z: np.ndarray,
         product.  The values do not depend on out.
     """
     phi = np.empty((basis.size, Z.shape[0])) if out is None else out
-    # indices are valid by construction; "clip" skips numpy's buffering
-    np.take(Z.T, basis.parent_var, axis=0, out=phi, mode="clip")
-    phi[0] = 1.0
+    # ndarray methods, not np.take or fancy indexing: the model and the
+    # ODE oracle call this once per row in loops, where numpy's Python
+    # wrappers cost more than the arithmetic.  Indices are valid by
+    # construction; "clip" skips numpy's buffering
+    Z.T.take(basis.parent_var, 0, phi, "clip")
+    phi[0].fill(1.0)
     # a degree-1 monomial is its variable times the constant 1, exactly;
     # parents have lower degree, so each product reads finished rows
     for block, parent in basis.degree_blocks[2:]:
-        np.multiply(phi[block], phi[parent], out=phi[block])
+        rows = phi[block]
+        np.multiply(rows, phi.take(parent, 0), out=rows)
     return phi.T

@@ -30,14 +30,18 @@ def _parse_targets(spec: str):
 
 
 def _parse_batch(spec: str):
-    """--batch: an integer or 'full'; anything else is a usage error."""
+    """--batch: a positive integer or 'full'; anything else is a usage
+    error."""
     if spec == "full":
         return "full"
     try:
-        return int(spec)
+        size = int(spec)
     except ValueError:
+        size = 0
+    if size < 1:
         raise argparse.ArgumentTypeError(
-            f"expected an integer or 'full', got {spec!r}") from None
+            f"expected a positive integer or 'full', got {spec!r}")
+    return size
 
 
 def _parse_column_quantile(spec: str) -> tuple[str, float]:

@@ -92,6 +92,22 @@ def test_invalid_arguments_rejected():
             build_basis(dim, order)
 
 
+@pytest.mark.parametrize("cache_first", [False, True])
+def test_non_integer_arguments_rejected_whatever_is_cached(cache_first):
+    # 3.0 == 3 and True == 1 hash alike, so a cache checked first would
+    # answer them with the basis of the integer
+    if cache_first:
+        build_basis(3, 3)
+        build_basis(1, 2)
+        build_basis(2, 1)
+    for dim, order in [(3.0, 3), (3, 3.0), (True, 2), (2, True),
+                       ("3", 3), (None, 2)]:
+        with pytest.raises(ValueError):
+            build_basis(dim, order)
+    assert build_basis(np.int64(3), 3) is build_basis(3, 3)
+    assert type(build_basis(np.int64(3), 3).dim) is int
+
+
 def test_degree_slice_partitions_rows():
     basis = build_basis(3, 4)
     covered = []

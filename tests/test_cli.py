@@ -312,6 +312,10 @@ def test_argparse_usage_error_exits_2():
       "--out", "m.json"], "--split-quantile"),
     (["evaluate", "--model", "m.json", "--data", "d.csv",
       "--split-quantile", "x:"], "--split-quantile"),
+    (["train", "--gen", "linear", "--batch", "0", "--out", "m.json"],
+     "--batch"),
+    (["train", "--gen", "linear", "--batch", "-3", "--out", "m.json"],
+     "--batch"),
 ])
 def test_a_malformed_flag_value_is_a_usage_error_naming_the_flag(
         argv, flag, capsys):

@@ -205,6 +205,40 @@ def test_integrate_divergence_names_the_first_row_and_step():
     assert later.value.row == 1 and later.value.step > single.value.step
 
 
+def stepwise_divergence(ode, z0, n_steps):
+    """(step, error) of the first one-step integrate_reference call that
+    raises, chaining calls of horizon 1 / n_steps from z0: the same
+    arithmetic as one n_steps call, with a finiteness check after every
+    step."""
+    z = z0
+    for step in range(1, n_steps + 1):
+        try:
+            z = integrate_reference(ode, z, 1, 1.0 / n_steps)
+        except DivergenceError as err:
+            return step, err
+
+
+@pytest.mark.parametrize("rows", [[3, 0, 4], [3], [0, 1, 2], [0, 5], [5],
+                                  [5, 3]])
+def test_a_diverging_integration_raises_the_per_step_error(rows):
+    # the run is checked once at its end and replayed with a check after
+    # every step; the replay's error must be the one per-step checking
+    # raises, to the bit: dz/dtau = z^2 from 4 overflows at step 5, from
+    # 2 at step 8, from 1e200 in step 1, and from 0.1 not at all
+    ode = OdeSystem(basis=build_basis(1, 2), A=np.array([[0.0], [0.0], [1.0]]))
+    starts = np.array([[0.1], [2.0], [0.1], [4.0], [4.0], [1e200]])
+    z0 = starts[rows] if len(rows) > 1 else starts[rows[0]]
+    step, want = stepwise_divergence(ode, z0, 10)
+    with pytest.raises(DivergenceError) as got:
+        integrate_reference(ode, z0, 10)
+    row = want.row if z0.ndim == 2 else None
+    assert str(got.value) == (f"reference integration diverged at step "
+                              f"{step}" + ("" if row is None
+                                           else f" (row {row})"))
+    assert (got.value.step, got.value.row) == (step, row)
+    assert got.value.state.tobytes() == want.state.tobytes()
+
+
 @pytest.fixture(scope="module")
 def trained_sine_model():
     rng = np.random.default_rng(9)
