@@ -460,8 +460,7 @@ def _step(model: TmpnnModel, ws: _Workspace, rows: int):
                                  phis)
 
         resid = states[-1][:, n:n + m] - ws.Y[:rows]
-        # np.mean's own sum and division, without its Python wrappers
-        loss = float(np.add.reduce(resid ** 2, axis=None) / resid.size)
+        loss = float(np.mean(resid ** 2))
 
         G = np.zeros((rows, dim))
         G[:, n:n + m] = (2.0 / resid.size) * resid
@@ -470,13 +469,13 @@ def _step(model: TmpnnModel, ws: _Workspace, rows: int):
         # monomials of degree below k: the coefficient row (l, j) of
         # monomial l is (exponents[l, j] + 1) * delta[raised[l * dim + j]].
         # raised is valid by construction; "clip" skips numpy's buffering
-        delta.take(basis.raised, 0, ws.C, "clip")
+        np.take(delta, basis.raised, axis=0, out=ws.C, mode="clip")
         ws.C *= ws.mult
         C = ws.C.reshape(-1, dim * dim)
         low = C.shape[0]
         J = ws.jac[:rows]
 
-        d_delta = np.zeros(delta.shape)
+        d_delta = np.zeros_like(delta)
         for t in range(model.steps - 1, -1, -1):
             phi = phis[t]
             d_delta += phi @ G
@@ -488,12 +487,10 @@ def _step(model: TmpnnModel, ws: _Workspace, rows: int):
         if model.reg_l1 > 0 or model.reg_l2 > 0:
             W = model.map.W
             if model.reg_l1 > 0:
-                loss += model.reg_l1 * float(np.add.reduce(np.abs(W),
-                                                           axis=None))
+                loss += model.reg_l1 * float(np.sum(np.abs(W)))
                 d_delta += model.reg_l1 * np.sign(W)
             if model.reg_l2 > 0:
-                loss += model.reg_l2 * float(np.add.reduce(W ** 2,
-                                                           axis=None))
+                loss += model.reg_l2 * float(np.sum(W ** 2))
                 d_delta += 2.0 * model.reg_l2 * W
 
     grads = {"delta": d_delta}
@@ -601,10 +598,10 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
         for start in range(0, n_rows, batch):
             idx = perm[start:start + batch]
             z0 = ws.z0[:len(idx)]
-            Z0.take(idx, 0, z0)
+            np.take(Z0, idx, axis=0, out=z0)
             # init_trainable moves the start slots between steps
             z0[:, model.n_features:] = model.init_state
-            train.Y.take(idx, 0, ws.Y[:len(idx)])
+            np.take(train.Y, idx, axis=0, out=ws.Y[:len(idx)])
             try:
                 loss, grads = _step(model, ws, len(idx))
             except DivergenceError:

@@ -174,12 +174,6 @@ def integrate_reference(ode: OdeSystem, z0, n_steps: int = 1000,
     A high-accuracy oracle for comparing the model's Euler trajectory
     against the continuous system; never used in training.
 
-    Only the final state is checked: each step adds its update to the
-    state, so a non-finite entry stays non-finite, and that one test
-    finds every run that diverges.  Only a diverged run is integrated
-    again from the start, checking after every step, to find the step,
-    row and state it raises with; a diverging call integrates twice.
-
     Args:
         ode: the polynomial system.
         z0: a (dim,) start state, or (N, dim) start states integrated
@@ -201,17 +195,6 @@ def integrate_reference(ode: OdeSystem, z0, n_steps: int = 1000,
     start = np.asarray(z0, dtype=np.float64)
     if start.ndim not in (1, 2) or start.shape[-1] != ode.dim:
         raise ValueError(f"z0 must have shape ({ode.dim},) or (N, {ode.dim})")
-    z = _rk4(ode, start, n_steps, t_end, check=False)
-    if not np.isfinite(z).all():
-        _rk4(ode, start, n_steps, t_end, check=True)
-    return z if start.ndim == 2 else z[0]
-
-
-def _rk4(ode: OdeSystem, start: np.ndarray, n_steps: int, t_end: float,
-         check: bool) -> np.ndarray:
-    """The (N, dim) states after n_steps RK4 steps from the (dim,) or
-    (N, dim) start; with check, a DivergenceError at the first step after
-    which a state is non-finite (see integrate_reference)."""
     z = np.array(start.reshape(-1, ode.dim))
     h = t_end / n_steps
     A = ode.A
@@ -238,7 +221,9 @@ def _rk4(ode: OdeSystem, start: np.ndarray, n_steps: int, t_end: float,
                 phi = eval_monomials_batch(ode.basis, stage, block)
             np.matmul(phis.T, update, out=new)
             new += z
-            if check and not np.isfinite(new).all():
+            # the ufunc reduction, not ndarray.all's Python wrapper: this
+            # check runs once per step of a one-row probe
+            if not np.logical_and.reduce(np.isfinite(new), axis=None):
                 row = int(np.argmin(np.isfinite(new).all(axis=1)))
                 named = row if start.ndim == 2 else None
                 raise DivergenceError(
@@ -246,7 +231,7 @@ def _rk4(ode: OdeSystem, start: np.ndarray, n_steps: int, t_end: float,
                     + ("" if named is None else f" (row {row})"),
                     step=step + 1, row=named, state=z[row].copy())
             z, new = new, z
-    return z
+    return z if start.ndim == 2 else z[0]
 
 
 def _format_monomial(exponents: np.ndarray, names: list[str]) -> str:

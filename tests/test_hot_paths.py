@@ -4,7 +4,8 @@ A one-row predict or an RK4 probe runs a few small array operations per
 map application, so a call through one of numpy's Python-level wrappers
 (np.take, np.mean, np.sum and the rest of fromnumeric.py) costs more
 than the arithmetic it wraps.  These tests profile each hot path and
-fail when it enters fromnumeric.py at all."""
+fail when it enters fromnumeric.py at all, and count the RK4 oracle's
+field evaluations."""
 
 import os
 import sys
@@ -13,9 +14,10 @@ import numpy as np
 import pytest
 
 import tmpnn.odeview
-from tmpnn import (Dataset, TmpnnModel, build_basis, extract_ode,
-                   integrate_reference, loss_and_gradient, predict)
+from tmpnn import (OdeSystem, TmpnnModel, build_basis, extract_ode,
+                   integrate_reference, predict)
 from tmpnn.basis import eval_monomials_batch
+from tmpnn.errors import DivergenceError
 from tmpnn.model import _block_rows
 
 
@@ -62,24 +64,16 @@ def test_monomial_evaluation_and_predict_enter_no_wrapper(model):
         assert fromnumeric_entries(call) == [], name
 
 
-def test_loss_and_gradient_enters_no_wrapper(model):
-    rng = np.random.default_rng(2)
-    batch = Dataset(rng.uniform(-1.0, 1.0, (32, 3)),
-                    rng.uniform(-1.0, 1.0, (32, 1)),
-                    ["a", "b", "c"], ["y"])
-    assert fromnumeric_entries(lambda: loss_and_gradient(model, batch)) == []
-
-
 def test_reference_integration_enters_no_wrapper(model):
     ode = extract_ode(model)
     Z0 = np.full((3, model.dim), 0.1)
     assert fromnumeric_entries(lambda: integrate_reference(ode, Z0, 5)) == []
 
 
-@pytest.mark.parametrize("n_steps", [1, 7])
-def test_a_finite_integration_evaluates_the_field_four_times_a_step(
-        model, monkeypatch, n_steps):
-    # the benchmark's tracer counts field evaluations by these calls
+@pytest.fixture
+def field_evals(monkeypatch):
+    """The arguments of every odeview.eval_monomials_batch call; the
+    benchmark's tracer counts field evaluations by these calls."""
     calls = []
 
     def counted(*args):
@@ -87,6 +81,24 @@ def test_a_finite_integration_evaluates_the_field_four_times_a_step(
         return eval_monomials_batch(*args)
 
     monkeypatch.setattr(tmpnn.odeview, "eval_monomials_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_steps", [1, 7])
+def test_a_finite_integration_evaluates_the_field_four_times_a_step(
+        model, field_evals, n_steps):
     ode = extract_ode(model)
     integrate_reference(ode, np.full(model.dim, 0.1), n_steps)
-    assert len(calls) == 4 * n_steps
+    assert len(field_evals) == 4 * n_steps
+
+
+@pytest.mark.parametrize("z0, step", [(4.0, 5), (2.0, 8), (1e200, 1)])
+def test_a_diverging_integration_stops_at_the_step_it_overflows_in(
+        field_evals, z0, step):
+    # dz/dtau = z^2 over 10 steps: a probe that blows up early costs the
+    # steps up to the blow-up, not the whole horizon
+    ode = OdeSystem(basis=build_basis(1, 2), A=np.array([[0.0], [0.0], [1.0]]))
+    with pytest.raises(DivergenceError) as err:
+        integrate_reference(ode, np.array([z0]), 10)
+    assert err.value.step == step
+    assert len(field_evals) == 4 * step

@@ -221,10 +221,9 @@ def stepwise_divergence(ode, z0, n_steps):
 @pytest.mark.parametrize("rows", [[3, 0, 4], [3], [0, 1, 2], [0, 5], [5],
                                   [5, 3]])
 def test_a_diverging_integration_raises_the_per_step_error(rows):
-    # the run is checked once at its end and replayed with a check after
-    # every step; the replay's error must be the one per-step checking
-    # raises, to the bit: dz/dtau = z^2 from 4 overflows at step 5, from
-    # 2 at step 8, from 1e200 in step 1, and from 0.1 not at all
+    # a whole run raises the error that chained one-step calls raise, to
+    # the bit: dz/dtau = z^2 from 4 overflows at step 5, from 2 at step
+    # 8, from 1e200 in step 1, and from 0.1 not at all
     ode = OdeSystem(basis=build_basis(1, 2), A=np.array([[0.0], [0.0], [1.0]]))
     starts = np.array([[0.1], [2.0], [0.1], [4.0], [4.0], [1e200]])
     z0 = starts[rows] if len(rows) > 1 else starts[rows[0]]
