@@ -31,6 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import _check_int
+
 
 @dataclass(frozen=True, eq=False)
 class MonomialBasis:
@@ -93,19 +95,15 @@ def build_basis(dim: int, order: int) -> MonomialBasis:
         (immutable) object.
 
     Raises:
-        ValueError: if dim or order is not an integer (a numpy integer
-            is one, a bool is not) of at least 1.
+        ValueError: if dim or order is not an int >= 1 (see errors).
 
     Example:
         >>> build_basis(2, 2).exponents.tolist()
         [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]
     """
     # checked before the cache, which would answer 3.0 for a cached 3
-    for name, value in (("dim", dim), ("order", order)):
-        if (not isinstance(value, (int, np.integer))
-                or isinstance(value, bool) or value < 1):
-            raise ValueError(f"{name} must be a positive integer, "
-                             f"got {value!r}")
+    _check_int("dim", dim, 1)
+    _check_int("order", order, 1)
     return _build_basis(int(dim), int(order))
 
 

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _check_int, _check_real
+
 
 @dataclass
 class Dataset:
@@ -69,10 +71,10 @@ def gen_friedman1(n_samples: int, n_unimportant: int = 0,
         noise_std: standard deviation of the additive Gaussian noise.
         seed: RNG seed; equal seeds give bit-identical datasets.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if n_unimportant < 0:
-        raise ValueError("n_unimportant must be >= 0")
+    _check_int("n_samples", n_samples, 1)
+    _check_int("n_unimportant", n_unimportant, 0)
+    _check_real("noise_std", noise_std, 0)
+    _check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 1.0, size=(n_samples, 5 + n_unimportant))
     y = (10.0 * np.sin(np.pi * X[:, 0] * X[:, 1])
@@ -87,11 +89,12 @@ def gen_friedman1(n_samples: int, n_unimportant: int = 0,
 def gen_noisy_linear(n_samples: int, x_range: tuple[float, float] = (-1.0, 1.0),
                      seed: int = 0) -> Dataset:
     """One uniform feature with y = x + U(-0.25, 0.25) noise."""
+    _check_int("n_samples", n_samples, 1)
     lo, hi = x_range
-    if not lo < hi:
-        raise ValueError(f"x_range must satisfy lo < hi, got {x_range}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _check_real("x_range lo", lo)
+    _check_real("x_range hi", hi, lo, strict=True)
+    _check_real("x_range width hi - lo", float(hi) - float(lo))
+    _check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     x = rng.uniform(lo, hi, size=n_samples)
     y = x + rng.uniform(-0.25, 0.25, size=n_samples)
@@ -285,8 +288,8 @@ def save_csv(dataset: Dataset, path) -> None:
 def split_random(dataset: Dataset, test_fraction: float,
                  seed: int = 0) -> tuple[Dataset, Dataset]:
     """Disjoint, exhaustive random train/test split."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be strictly between 0 and 1")
+    _check_real("test_fraction", test_fraction, 0, 1, strict=True)
+    _check_int("seed", seed, 0)
     n = dataset.n_samples
     n_test = int(round(n * test_fraction))
     n_test = min(max(n_test, 1), n - 1)
@@ -301,8 +304,7 @@ def split_quantile(dataset: Dataset, column: str,
     The column may be a feature or a target, so out-of-distribution tests
     can be run against either side of the mapping.
     """
-    if not 0.0 < quantile < 1.0:
-        raise ValueError("quantile must be strictly between 0 and 1")
+    _check_real("quantile", quantile, 0, 1, strict=True)
     if column in dataset.feature_names:
         values = dataset.X[:, dataset.feature_names.index(column)]
     elif column in dataset.target_names:

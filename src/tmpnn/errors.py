@@ -1,4 +1,7 @@
-"""Structured errors raised by the training and inference paths."""
+"""Structured errors of the training and inference paths, and the rule
+for numeric arguments: a count is an int (a numpy integer is one, a bool
+is not) with a least value, a real is finite (a bool is not one) within
+optional bounds, and anything else is a ValueError naming the argument."""
 
 from __future__ import annotations
 
@@ -37,3 +40,27 @@ class TrainingDivergedError(TmpnnError):
     learning rate) fails for an entire epoch.  Usually means the features
     need standardization or the learning rate is far too large.
     """
+
+
+def _check_int(name: str, value, least: int) -> None:
+    """A ValueError naming the argument unless value is a count >= least."""
+    import numbers  # not at the top: the CLI imports this module at start-up
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
+def _check_real(name: str, value, least=None, most=None,
+                strict: bool = False) -> None:
+    """A ValueError naming the argument unless value is a finite real
+    within the bounds given (None: no bound), excluded when strict."""
+    import math
+    import numbers
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            # compared, not math.isfinite, which overflows on a large int
+            or not -math.inf < value < math.inf
+            or least is not None and not (value > least if strict else value >= least)
+            or most is not None and not (value < most if strict else value <= most)):
+        ops = ((">" if strict else ">=", least), ("<" if strict else "<=", most))
+        rule = "".join(f" and {op} {b}" for op, b in ops if b is not None)
+        raise ValueError(f"{name} must be finite{rule}, got {value!r}")

@@ -21,14 +21,14 @@ with the learning rate halved for the rest of the epoch.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import MonomialBasis, eval_monomials_batch
 from .data import Dataset, metric_mse
-from .errors import DivergenceError, TrainingDivergedError
+from .errors import (DivergenceError, TrainingDivergedError, _check_int,
+                     _check_real)
 from .optim import AdamaxState, adamax_step
 from .taylor_map import TaylorMapWeights, identity_weights
 
@@ -116,9 +116,8 @@ class TmpnnModel:
         if self.map.dim != self.dim:
             raise ValueError(f"map dimension {self.map.dim} does not equal "
                              f"n_features + n_targets + n_latent = {self.dim}")
-        for name, value in (("reg_l1", self.reg_l1), ("reg_l2", self.reg_l2)):
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0")
+        _check_real("reg_l1", self.reg_l1, 0)
+        _check_real("reg_l2", self.reg_l2, 0)
         self.init_state = np.asarray(self.init_state, dtype=np.float64)
         if self.init_state.shape != (self.n_targets + self.n_latent,):
             raise ValueError(f"init_state must have length "
@@ -153,6 +152,7 @@ class TmpnnModel:
         (identity plus N(0, 1e-4)-variance noise on every coefficient).
         """
         _check_sizes(n_features, n_targets, n_latent, steps)
+        _check_int("seed", seed, 0)
         dim = n_features + n_targets + n_latent
         weights = identity_weights(dim, order)
         if init == "perturbed":
@@ -208,30 +208,20 @@ class TmpnnModel:
         out[:, self.n_features:] = self.init_state
 
 
-def _is_int_at_least(value, least: int) -> bool:
-    """Whether value is an integer (not a bool) of at least least."""
-    return (isinstance(value, numbers.Integral)
-            and not isinstance(value, bool) and value >= least)
-
-
 def _check_sizes(n_features, n_targets, n_latent, steps) -> None:
-    """A ValueError naming the first model size that is not an int (a
-    numpy integer is one, a bool is not) of at least its least value."""
+    """A ValueError naming the first size that is not a count (see errors)."""
     for name, value, least in (("n_features", n_features, 1),
                                ("n_targets", n_targets, 1),
                                ("n_latent", n_latent, 0), ("steps", steps, 1)):
-        if not _is_int_at_least(value, least):
-            raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+        _check_int(name, value, least)
 
 
 @dataclass
 class TrainConfig:
     """Knobs for fit(), which minimizes MSE with AdamaxState's moment
-    constants.  epochs is an int >= 1; batch_size an int >= 1 or the
-    string "full"; learning_rate a finite number > 0; shuffle_seed an
-    int >= 0.  early_stop, when set, is a (patience, min_delta) pair: an
-    int >= 1 and a finite number >= 0.  A bool is not an int here, and
-    a malformed field is a ValueError naming it."""
+    constants: epochs >= 1, batch_size >= 1 or "full", learning_rate > 0,
+    shuffle_seed >= 0, early_stop None or (patience >= 1, min_delta >= 0).
+    A field that breaks this is a ValueError naming it (see errors)."""
 
     epochs: int = 1000
     batch_size: int | str = 256
@@ -240,34 +230,19 @@ class TrainConfig:
     early_stop: tuple[int, float] | None = None
 
     def __post_init__(self):
-        if not _is_int_at_least(self.epochs, 1):
-            raise ValueError(f"epochs must be an int >= 1, got {self.epochs!r}")
-        if not (_is_int_at_least(self.batch_size, 1)
-                or self.batch_size == "full"):
-            raise ValueError(f"batch_size must be an int >= 1 or 'full', "
-                             f"got {self.batch_size!r}")
-        if (not isinstance(self.learning_rate, numbers.Real)
-                or isinstance(self.learning_rate, bool)
-                or not math.isfinite(self.learning_rate)
-                or self.learning_rate <= 0):
-            raise ValueError(f"learning_rate must be a finite number > 0, "
-                             f"got {self.learning_rate!r}")
-        if not _is_int_at_least(self.shuffle_seed, 0):
-            raise ValueError(f"shuffle_seed must be an int >= 0, "
-                             f"got {self.shuffle_seed!r}")
+        _check_int("epochs", self.epochs, 1)
+        if self.batch_size != "full":
+            _check_int("batch_size", self.batch_size, 1)
+        _check_real("learning_rate", self.learning_rate, 0, strict=True)
+        _check_int("shuffle_seed", self.shuffle_seed, 0)
         if self.early_stop is not None:
             try:
                 patience, min_delta = self.early_stop
             except (TypeError, ValueError):
                 raise ValueError(f"early_stop must be a (patience, min_delta) "
                                  f"pair, got {self.early_stop!r}") from None
-            if not _is_int_at_least(patience, 1):
-                raise ValueError(f"early_stop patience must be an int >= 1, "
-                                 f"got {patience!r}")
-            if (not isinstance(min_delta, numbers.Real)
-                    or not math.isfinite(min_delta) or min_delta < 0):
-                raise ValueError(f"early_stop min_delta must be finite and "
-                                 f">= 0, got {min_delta!r}")
+            _check_int("early_stop patience", patience, 1)
+            _check_real("early_stop min_delta", min_delta, 0)
 
 
 @dataclass
@@ -406,19 +381,24 @@ def predict(model: TmpnnModel, X) -> np.ndarray:
     n_blocks = max(1, -(-N // _block_rows(model.basis)))
     bounds = [N * i // n_blocks for i in range(n_blocks + 1)]
     longest = -(-N // n_blocks)
-    z0 = np.empty((longest, model.dim))
-    after = np.empty((model.steps, longest, model.dim))
+    # feature-major: the states are (rows, dim) views of (dim, rows)
+    # buffers, so the monomial gather reads, and the phi @ delta product
+    # and the scaling write, contiguous rows of them
+    z0 = np.empty((model.dim, longest))
+    after = np.empty((model.steps, model.dim, longest))
     phi = np.empty(size * longest)
     for start, stop in zip(bounds, bounds[1:]):
         rows = stop - start
+        starts = z0[:, :rows].T
         # scaling is outside the scope: an overflow there warns, as in
         # initial_state
-        model._fill_states(X[start:stop], z0[:rows])
+        model._fill_states(X[start:stop], starts)
         # predict keeps no monomial matrix: one buffer serves every step
         phis = [_leading(phi, size, rows)] * model.steps
         with np.errstate(over="ignore", invalid="ignore"):
-            states = _forward_states(model, z0[:rows], after[:, :rows], phis,
-                                     first_row=start)
+            states = _forward_states(model, starts,
+                                     after[:, :, :rows].transpose(0, 2, 1),
+                                     phis, first_row=start)
         out[start:stop] = states[-1][:, n:n + m]
     return out
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import MonomialBasis, eval_monomials_batch
-from .errors import DivergenceError
+from .errors import DivergenceError, _check_int, _check_real
 from .model import TmpnnModel
 from .taylor_map import TaylorMapWeights
 
@@ -110,8 +110,7 @@ def rebuild_map(ode: OdeSystem, steps: int) -> TaylorMapWeights:
     count the system was extracted with, this is the exact inverse of
     extract_ode (bit-identical weights).
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    _check_int("steps", steps, 1)
     if ode._source is not None and ode._source[1] == steps:
         return TaylorMapWeights(basis=ode.basis, delta=ode._source[0].copy())
     return TaylorMapWeights(basis=ode.basis,
@@ -144,8 +143,7 @@ def raise_order(model: TmpnnModel, new_steps: int) -> TmpnnModel:
     Raises:
         ValueError: unless new_steps > model.steps.
     """
-    if new_steps <= model.steps:
-        raise ValueError(f"new_steps must exceed the current {model.steps}")
+    _check_int("new_steps", new_steps, model.steps + 1)
     delta = _scaled_delta(model.map.delta, model.steps, new_steps)
     return replace(model, steps=new_steps,
                    map=TaylorMapWeights(basis=model.basis, delta=delta),
@@ -159,8 +157,7 @@ def rescale_time(model: TmpnnModel, tau_bar: float) -> TmpnnModel:
     in deviation form that is one multiplication.  tau_bar = 1 returns an
     identical model; tau_bar = 0 collapses the map to the identity.
     """
-    if not tau_bar >= 0:
-        raise ValueError("tau_bar must be non-negative")
+    _check_real("tau_bar", tau_bar, 0)
     return replace(model,
                    map=TaylorMapWeights(basis=model.basis,
                                         delta=model.map.delta * tau_bar),
@@ -190,8 +187,8 @@ def integrate_reference(ode: OdeSystem, z0, n_steps: int = 1000,
             (None for a (dim,) start state) and that row's state entering
             the step.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    _check_int("n_steps", n_steps, 1)
+    _check_real("t_end", t_end)
     start = np.asarray(z0, dtype=np.float64)
     if start.ndim not in (1, 2) or start.shape[-1] != ode.dim:
         raise ValueError(f"z0 must have shape ({ode.dim},) or (N, {ode.dim})")
@@ -253,6 +250,7 @@ def render_ode(ode: OdeSystem, variable_names: list[str],
     becomes "0", and term order follows the basis, so equal systems render
     identically.
     """
+    _check_real("threshold", threshold, 0)
     names = list(variable_names)
     if len(names) != ode.dim:
         raise ValueError(f"need {ode.dim} variable names, got {len(names)}")

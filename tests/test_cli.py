@@ -44,6 +44,28 @@ def test_gen_data_writes_loadable_csv(tmp_path, capsys):
     assert ds.n_samples == 50
 
 
+# -1e308 in digits: argparse would take "-1e308" for an option
+WIDE = [str(-10 ** 308), "1e308"]
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["gen-data", "linear", "--range", "0", "inf"], "x_range"),
+    (["gen-data", "linear", "--range", *WIDE], "x_range"),
+    (["train", "--gen", "linear", "--range", "0", "inf"], "x_range"),
+    (["train", "--gen", "linear", "--range", *WIDE], "x_range"),
+    (["gen-data", "friedman1", "--noise", "nan"], "noise_std"),
+])
+def test_a_bad_generator_setting_is_one_error_line_naming_it(tmp_path, argv,
+                                                             name, capsys):
+    # the ranges used to end in numpy's OverflowError with a traceback (the
+    # second pair has finite bounds but no finite width), and a nan noise
+    # level to write noise-free data
+    assert run(*argv, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_reports_metrics_and_saves_model(tmp_path, capsys):
     model_path = tmp_path / "m.json"
     report_path = tmp_path / "r.json"

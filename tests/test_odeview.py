@@ -2,6 +2,7 @@
 and rendering."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +327,21 @@ def test_render_round_trips_through_parser():
                 value = -value
             parsed[index_of[mono or ""], j] = value
     np.testing.assert_allclose(parsed, A, rtol=1e-8, atol=1e-12)
+
+
+def test_a_non_finite_horizon_is_a_value_error_naming_it():
+    # integrate_reference used to report "diverged at step 1", and
+    # rescale_time to warn, then blame the weight matrix
+    model = TmpnnModel.create(1, 1, order=2, steps=2)
+    ode = extract_ode(model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="^t_end "):
+                integrate_reference(ode, [0.5, 0.5], 10, bad)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^tau_bar "):
+                rescale_time(model, bad)
 
 
 def test_render_threshold_and_name_validation():

@@ -1,23 +1,28 @@
 """Property tests of the exact round trips: JSON save/load, ODE
 extract/rebuild and raise-order at step doublings over random model
 shapes, CSV save/load over random tables, and table parsing against a
-per-cell float() reference; and of the model-file boundary under mutated
-documents."""
+per-cell float() reference; of the model-file boundary under mutated
+documents; and of the one rule for numeric arguments."""
 
 import json
+import math
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 import tmpnn.data
-from tmpnn import (Dataset, DivergenceError, Scaler, TmpnnModel,
-                   extract_ode, load_csv, load_model, load_table,
+from tmpnn import (Dataset, DivergenceError, Scaler, TmpnnModel, TrainConfig,
+                   build_basis, extract_ode, gen_friedman1, gen_noisy_linear,
+                   integrate_reference, load_csv, load_model, load_table,
                    model_from_dict, model_to_dict, predict, raise_order,
-                   rebuild_map, save_csv, save_model)
+                   rebuild_map, render_ode, rescale_time, save_csv,
+                   save_model, split_quantile, split_random)
 
 # (n, m, l, k, p) with the weights, init state and scaler drawn from a seed
 shapes = st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2),
@@ -282,3 +287,95 @@ def test_load_table_matches_a_per_cell_float_reference(table, block_rows):
     assert got_names == names
     assert values.shape == want.shape
     assert values.tobytes() == want.tobytes()
+
+
+NOT_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def count(name, call, least):
+    """A row of the argument table for a count of at least least: the
+    values it must reject, a strategy for more of them, and the value at
+    its bound it must accept."""
+    rejected = [True, np.True_, "3", None, *NOT_FINITE, 2.5, least - 1]
+    return (name, call, rejected,
+            st.integers(max_value=least - 1) | st.floats(), np.int64(least))
+
+
+def real(name, call, least=None, most=None, strict=False, inside=None):
+    """A row for a finite real within the bounds, excluded when strict;
+    inside is the value it must accept, least by default."""
+    rejected, drawn = [True, np.True_, "3", None, *NOT_FINITE], []
+    if least is not None:
+        edge = least if strict else math.nextafter(least, -math.inf)
+        rejected.append(edge)
+        drawn.append(st.floats(max_value=edge))
+    if most is not None:
+        edge = most if strict else math.nextafter(most, math.inf)
+        rejected.append(edge)
+        drawn.append(st.floats(min_value=edge))
+    return (name, call, rejected,
+            st.one_of(st.sampled_from(NOT_FINITE), *drawn),
+            np.float32(least if inside is None else inside))
+
+
+_model = TmpnnModel.create(1, 1, order=2, steps=2)
+_ode = extract_ode(_model)
+_data = gen_friedman1(8)
+_sizes = dict(n_features=1, n_targets=1, n_latent=0, steps=2)
+
+# every public entry point's counts and reals, each called with one value
+ARGUMENTS = [
+    count("dim", lambda v: build_basis(v, 2), 1),
+    count("order", lambda v: build_basis(2, v), 1),
+    *[count(name, lambda v, name=name: TmpnnModel.create(**{**_sizes,
+                                                          name: v}), least)
+      for name, least in (("n_features", 1), ("n_targets", 1),
+                          ("n_latent", 0), ("steps", 1))],
+    count("order", lambda v: TmpnnModel.create(1, 1, order=v), 1),
+    count("seed", lambda v: TmpnnModel.create(1, 1, seed=v), 0),
+    count("epochs", lambda v: TrainConfig(epochs=v), 1),
+    count("batch_size", lambda v: TrainConfig(batch_size=v), 1),
+    count("shuffle_seed", lambda v: TrainConfig(shuffle_seed=v), 0),
+    count("early_stop", lambda v: TrainConfig(early_stop=(v, 0.0)), 1),
+    count("steps", lambda v: rebuild_map(_ode, v), 1),
+    count("new_steps", lambda v: raise_order(_model, v), 3),
+    count("n_steps", lambda v: integrate_reference(_ode, [0.5, 0.5], v), 1),
+    count("n_samples", lambda v: gen_friedman1(v), 1),
+    count("n_unimportant", lambda v: gen_friedman1(4, n_unimportant=v), 0),
+    count("seed", lambda v: gen_friedman1(4, seed=v), 0),
+    count("n_samples", lambda v: gen_noisy_linear(v), 1),
+    count("seed", lambda v: gen_noisy_linear(4, seed=v), 0),
+    count("seed", lambda v: split_random(_data, 0.5, seed=v), 0),
+    real("reg_l1", lambda v: TmpnnModel.create(1, 1, reg_l1=v), 0),
+    real("reg_l2", lambda v: TmpnnModel.create(1, 1, reg_l2=v), 0),
+    real("learning_rate", lambda v: TrainConfig(learning_rate=v), 0,
+         strict=True, inside=1e-3),
+    real("early_stop", lambda v: TrainConfig(early_stop=(1, v)), 0),
+    real("tau_bar", lambda v: rescale_time(_model, v), 0),
+    real("t_end", lambda v: integrate_reference(_ode, [0.5, 0.5], 4, v),
+         inside=0.5),
+    real("threshold", lambda v: render_ode(_ode, ["x", "y"], v), 0),
+    real("noise_std", lambda v: gen_friedman1(4, noise_std=v), 0),
+    real("x_range", lambda v: gen_noisy_linear(4, x_range=(v, 1.0)),
+         most=1.0, strict=True, inside=0.0),
+    real("x_range", lambda v: gen_noisy_linear(4, x_range=(-1.0, v)),
+         -1.0, strict=True, inside=0.0),
+    real("test_fraction", lambda v: split_random(_data, v), 0, 1,
+         strict=True, inside=0.5),
+    real("quantile", lambda v: split_quantile(_data, "x1", v), 0, 1,
+         strict=True, inside=0.5),
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_every_numeric_argument_follows_one_rule(data):
+    # a bad value is a ValueError naming the argument: never a TypeError,
+    # an OverflowError, a warning or a DivergenceError, and never accepted
+    for name, call, rejected, drawn, at_bound in ARGUMENTS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call(at_bound)
+            for value in rejected + [data.draw(drawn, label=name)]:
+                with pytest.raises(ValueError, match=f"^{name} "):
+                    call(value)
