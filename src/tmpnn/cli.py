@@ -19,7 +19,7 @@ if _threads:
 import argparse
 import sys
 
-from .errors import TmpnnError
+from .errors import TmpnnError, _check_int, _check_real
 
 
 def _parse_targets(spec: str):
@@ -29,19 +29,31 @@ def _parse_targets(spec: str):
         return [name.strip() for name in spec.split(",") if name.strip()]
 
 
+def _checked(check, *bounds, **options):
+    """An argparse type holding a flag to check, an errors.py rule, on its
+    text read by int() for _check_int and by float() otherwise: a value
+    that breaks the rule is a usage error naming the flag."""
+    def parse(text: str):
+        try:
+            value = (int if check is _check_int else float)(text)
+        except ValueError:
+            value = text  # the rule rejects it and quotes it
+        try:
+            check("", value, *bounds, **options)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc).lstrip()) from None
+        return value
+    return parse
+
+
+_count, _positive = _checked(_check_int, 0), _checked(_check_int, 1)
+_non_negative, _fraction = (_checked(_check_real, 0),
+                            _checked(_check_real, 0, 1, strict=True))
+
+
 def _parse_batch(spec: str):
-    """--batch: a positive integer or 'full'; anything else is a usage
-    error."""
-    if spec == "full":
-        return "full"
-    try:
-        size = int(spec)
-    except ValueError:
-        size = 0
-    if size < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'full', got {spec!r}")
-    return size
+    """--batch: a positive integer or 'full'."""
+    return "full" if spec == "full" else _positive(spec)
 
 
 def _parse_column_quantile(spec: str) -> tuple[str, float]:
@@ -49,11 +61,7 @@ def _parse_column_quantile(spec: str) -> tuple[str, float]:
     column, _, q = spec.rpartition(":")
     if not column:
         raise argparse.ArgumentTypeError(f"expected COLUMN:Q, got {spec!r}")
-    try:
-        return column, float(q)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number Q in COLUMN:Q, got {q!r}") from None
+    return column, _fraction(q)
 
 
 def _generate(generator: str, args):
@@ -67,24 +75,17 @@ def _generate(generator: str, args):
 
 def _load_training_data(args):
     from . import data as datamod
-    if args.data is not None and args.gen is not None:
-        raise ValueError("--data and --gen are mutually exclusive")
-    if args.data is not None:
-        if args.targets is None:
-            raise ValueError("--targets is required with --data")
-        return datamod.load_csv(args.data, _parse_targets(args.targets))
     if args.gen is not None:
         return _generate(args.gen, args)
-    raise ValueError("one of --data or --gen is required")
+    if args.targets is None:
+        raise ValueError("--targets is required with --data")
+    return datamod.load_csv(args.data, _parse_targets(args.targets))
 
 
 def _split(args, dataset):
     """(train, test) per --split-quantile or --test-fraction; test is None
     when neither is given."""
     from . import data as datamod
-    if args.test_fraction is not None and args.split_quantile is not None:
-        raise ValueError("--test-fraction and --split-quantile are mutually "
-                         "exclusive")
     if args.split_quantile is not None:
         return datamod.split_quantile(dataset, *args.split_quantile)
     if args.test_fraction is not None:
@@ -251,6 +252,7 @@ def cmd_inspect_ode(args) -> int:
 def cmd_raise_order(args) -> int:
     from . import io as iomod, odeview
     model, extras = iomod.load_model(args.model)
+    _check_int("--steps", args.steps, model.steps + 1)
     raised = odeview.raise_order(model, args.steps)
     iomod.save_model(raised, args.out,
                      feature_names=extras.get("feature_names"),
@@ -269,15 +271,22 @@ def cmd_gen_data(args) -> int:
 
 
 def _add_gen_flags(parser):
-    parser.add_argument("--samples", type=int, default=10000,
+    parser.add_argument("--samples", type=_positive, default=10000,
                         help="rows to generate (default 10000)")
-    parser.add_argument("--unimportant", type=int, default=0,
+    parser.add_argument("--unimportant", type=_count, default=0,
                         help="extra irrelevant features for friedman1")
-    parser.add_argument("--noise", type=float, default=0.0,
+    parser.add_argument("--noise", type=_non_negative, default=0.0,
                         help="noise standard deviation for friedman1")
-    parser.add_argument("--range", type=float, nargs=2, default=[-1.0, 1.0],
-                        metavar=("LO", "HI"),
+    parser.add_argument("--range", type=_checked(_check_real), nargs=2,
+                        default=[-1.0, 1.0], metavar=("LO", "HI"),
                         help="feature range for the linear generator")
+
+
+def _add_split_flags(parser, fraction_help, quantile_help):
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--test-fraction", type=_fraction, help=fraction_help)
+    group.add_argument("--split-quantile", metavar="COLUMN:Q",
+                       type=_parse_column_quantile, help=quantile_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,27 +296,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="fit a model and save it")
-    p.add_argument("--data", help="CSV file with features and targets")
-    p.add_argument("--gen", choices=["friedman1", "linear"],
-                   help="generate the training data instead of reading a file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", help="CSV file with features and targets")
+    source.add_argument("--gen", choices=["friedman1", "linear"],
+                        help="generate the training data instead")
     _add_gen_flags(p)
     p.add_argument("--targets",
                    help="target columns: comma-separated names or a trailing count")
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--steps", type=int, default=5)
-    p.add_argument("--latent", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=1000)
+    p.add_argument("--order", type=_positive, default=3)
+    p.add_argument("--steps", type=_positive, default=5)
+    p.add_argument("--latent", type=_count, default=0)
+    p.add_argument("--epochs", type=_positive, default=1000)
     p.add_argument("--batch", type=_parse_batch, default="256",
                    help="batch size, or 'full' (default 256)")
-    p.add_argument("--lr", type=float, default=0.002)
-    p.add_argument("--l1", type=float, default=0.0)
-    p.add_argument("--l2", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--test-fraction", type=float,
-                   help="hold out a random fraction for test metrics")
-    p.add_argument("--split-quantile", metavar="COLUMN:Q",
-                   type=_parse_column_quantile,
-                   help="train below the column quantile, test above it")
+    p.add_argument("--lr", type=_checked(_check_real, 0, strict=True),
+                   default=0.002)
+    p.add_argument("--l1", type=_non_negative, default=0.0)
+    p.add_argument("--l2", type=_non_negative, default=0.0)
+    p.add_argument("--seed", type=_count, default=0)
+    _add_split_flags(p, "hold out a random fraction for test metrics",
+                     "train below the column quantile, test above it")
     p.add_argument("--standardize", choices=["on", "off"], default="on")
     p.add_argument("--init", choices=["identity", "perturbed"],
                    default="identity")
@@ -327,26 +335,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--targets",
                    help="target columns if the model file lacks names")
-    p.add_argument("--test-fraction", type=float,
-                   help="evaluate only a random test portion")
-    p.add_argument("--split-quantile", metavar="COLUMN:Q",
-                   type=_parse_column_quantile,
-                   help="evaluate only rows above the column quantile")
-    p.add_argument("--seed", type=int, default=0)
+    _add_split_flags(p, "evaluate only a random test portion",
+                     "evaluate only rows above the column quantile")
+    p.add_argument("--seed", type=_count, default=0)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("inspect-ode",
                        help="print the model's equivalent ODE system")
     p.add_argument("--model", required=True)
     p.add_argument("--out", help="write the system to a file instead")
-    p.add_argument("--threshold", type=float, default=1e-10,
+    p.add_argument("--threshold", type=_non_negative, default=1e-10,
                    help="omit coefficients below this magnitude")
     p.set_defaults(func=cmd_inspect_ode)
 
     p = sub.add_parser("raise-order",
                        help="re-initialize a model with more steps")
     p.add_argument("--model", required=True)
-    p.add_argument("--steps", type=int, required=True,
+    p.add_argument("--steps", type=_positive, required=True,
                    help="new step count, greater than the current one")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_raise_order)
@@ -354,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="write a synthetic dataset as CSV")
     p.add_argument("generator", choices=["friedman1", "linear"])
     _add_gen_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _check_int, _check_real
+from .errors import _check_finite, _check_int, _check_real
 
 
 @dataclass
@@ -20,16 +20,12 @@ class Dataset:
     target_names: list[str]
 
     def __post_init__(self):
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=np.float64))
-        self.Y = np.asarray(self.Y, dtype=np.float64)
-        if self.Y.ndim == 1:
-            self.Y = self.Y[:, None]
-        if self.X.shape[0] != self.Y.shape[0]:
-            raise ValueError(f"X has {self.X.shape[0]} rows, Y has {self.Y.shape[0]}")
+        self.X = _check_finite("X", np.atleast_2d(self.X), (None, None))
         if self.X.shape[0] < 1:
             raise ValueError("dataset is empty")
-        if not np.all(np.isfinite(self.X)) or not np.all(np.isfinite(self.Y)):
-            raise ValueError("dataset contains non-finite values")
+        Y = np.asarray(self.Y)
+        self.Y = _check_finite("Y", Y[:, None] if Y.ndim == 1 else Y,
+                               (self.X.shape[0], None))
         if len(self.feature_names) != self.X.shape[1]:
             raise ValueError("feature_names length does not match X width")
         if len(self.target_names) != self.Y.shape[1]:

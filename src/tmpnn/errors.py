@@ -1,7 +1,8 @@
 """Structured errors of the training and inference paths, and the rule
-for numeric arguments: a count is an int (a numpy integer is one, a bool
-is not) with a least value, a real is finite (a bool is not one) within
-optional bounds, and anything else is a ValueError naming the argument."""
+for arguments: a count is an int (a numpy integer is one, a bool is not)
+with a least value, a real is finite (a bool is not one) within optional
+bounds, an array has its shape and finite entries, and anything else is
+a ValueError naming the argument and, in an array, the bad entry's place."""
 
 from __future__ import annotations
 
@@ -64,3 +65,22 @@ def _check_real(name: str, value, least=None, most=None,
         ops = ((">" if strict else ">=", least), ("<" if strict else "<=", most))
         rule = "".join(f" and {op} {b}" for op, b in ops if b is not None)
         raise ValueError(f"{name} must be finite{rule}, got {value!r}")
+
+
+def _check_finite(name: str, value, shape=None):
+    """value as a float64 array; a ValueError naming the argument unless
+    it has the shape given (a None entry allows any length on that axis)
+    and holds finite numbers only, naming the first bad entry's place."""
+    import numpy as np  # not at the top: the CLI imports this module at start-up
+    value = np.asarray(value, dtype=np.float64)
+    if shape is not None and (value.ndim != len(shape) or any(
+            want not in (None, got) for want, got in zip(shape, value.shape))):
+        raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
+    finite = np.isfinite(value)
+    if not finite.all():  # the method: one-row predict runs this check
+        at = tuple(np.argwhere(~finite)[0].tolist())
+        place = (f"row {at[0]}, column {at[1]}" if len(at) == 2 else
+                 f"entry {at[0]}" if len(at) == 1 else f"index {at}")
+        raise ValueError(f"{name} holds the non-finite value {value[at]} "
+                         f"at {place}")
+    return value

@@ -27,8 +27,8 @@ import numpy as np
 
 from .basis import MonomialBasis, eval_monomials_batch
 from .data import Dataset, metric_mse
-from .errors import (DivergenceError, TrainingDivergedError, _check_int,
-                     _check_real)
+from .errors import (DivergenceError, TrainingDivergedError, _check_finite,
+                     _check_int, _check_real)
 from .optim import AdamaxState, adamax_step
 from .taylor_map import TaylorMapWeights, identity_weights
 
@@ -41,14 +41,10 @@ class Scaler:
     scale: np.ndarray
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.scale = np.asarray(self.scale, dtype=np.float64)
-        if self.mean.shape != self.scale.shape or self.mean.ndim != 1:
-            raise ValueError("mean and scale must be 1-D arrays of equal length")
-        if not np.isfinite(self.mean).all():
-            raise ValueError("scaler mean must hold finite numbers")
-        if not (np.isfinite(self.scale) & (self.scale > 0)).all():
-            raise ValueError("scaler scale must hold finite positive numbers")
+        self.mean = _check_finite("mean", self.mean, (None,))
+        self.scale = _check_finite("scale", self.scale, self.mean.shape)
+        if not (self.scale > 0).all():
+            raise ValueError("scale must hold positive numbers")
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Scaler":
@@ -118,12 +114,8 @@ class TmpnnModel:
                              f"n_features + n_targets + n_latent = {self.dim}")
         _check_real("reg_l1", self.reg_l1, 0)
         _check_real("reg_l2", self.reg_l2, 0)
-        self.init_state = np.asarray(self.init_state, dtype=np.float64)
-        if self.init_state.shape != (self.n_targets + self.n_latent,):
-            raise ValueError(f"init_state must have length "
-                             f"{self.n_targets + self.n_latent}")
-        if not np.isfinite(self.init_state).all():
-            raise ValueError("init_state must hold finite numbers")
+        self.init_state = _check_finite("init_state", self.init_state,
+                                        (self.n_targets + self.n_latent,))
         if self.scaler is not None and self.scaler.mean.shape != (self.n_features,):
             raise ValueError(f"scaler must have one entry per feature, got "
                              f"{self.scaler.mean.size} for {self.n_features}")
@@ -190,11 +182,7 @@ class TmpnnModel:
         if X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} feature columns, "
                              f"got {X.shape[1]}")
-        if not np.isfinite(X).all():
-            row, col = np.argwhere(~np.isfinite(X))[0]
-            raise ValueError(f"feature value {X[row, col]} at row {row}, "
-                             f"column {col} is not finite")
-        return X
+        return _check_finite("X", X)
 
     def _fill_states(self, X: np.ndarray, out: np.ndarray) -> None:
         """Write the start states of the checked rows X into out, a

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import MonomialBasis, eval_monomials_batch
-from .errors import DivergenceError, _check_int, _check_real
+from .errors import DivergenceError, _check_finite, _check_int, _check_real
 from .model import TmpnnModel
 from .taylor_map import TaylorMapWeights
 
@@ -49,12 +49,7 @@ class OdeSystem:
     _source: tuple[np.ndarray, int] | None = None
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=np.float64)
-        expected = (self.basis.size, self.basis.dim)
-        if self.A.shape != expected:
-            raise ValueError(f"A has shape {self.A.shape}, expected {expected}")
-        if not np.all(np.isfinite(self.A)):
-            raise ValueError("A contains non-finite entries")
+        self.A = _check_finite("A", self.A, (self.basis.size, self.basis.dim))
 
     @property
     def dim(self) -> int:
@@ -106,29 +101,19 @@ def extract_ode(model: TmpnnModel) -> OdeSystem:
 def rebuild_map(ode: OdeSystem, steps: int) -> TaylorMapWeights:
     """The map whose `steps`-step Euler scheme integrates the system.
 
-    W_q = A_q / steps for q != 1 and W1 = I + A1 / steps.  At the step
-    count the system was extracted with, this is the exact inverse of
-    extract_ode (bit-identical weights).
+    W_q = A_q / steps for q != 1 and W1 = I + A1 / steps.  At the source
+    map's step count times a power of two, its weights are divided exactly
+    (at the same count, this inverts extract_ode bit for bit); otherwise
+    steps * result equals A wherever a preimage exists (_closest_quotient).
     """
     _check_int("steps", steps, 1)
-    if ode._source is not None and ode._source[1] == steps:
-        return TaylorMapWeights(basis=ode.basis, delta=ode._source[0].copy())
+    if ode._source is not None:
+        delta, source_steps = ode._source
+        ratio = steps // source_steps if steps % source_steps == 0 else 0
+        if ratio and (ratio & (ratio - 1)) == 0:
+            return TaylorMapWeights(basis=ode.basis, delta=delta / ratio)
     return TaylorMapWeights(basis=ode.basis,
                             delta=_closest_quotient(ode.A, float(steps)))
-
-
-def _scaled_delta(delta: np.ndarray, old_steps: int, new_steps: int) -> np.ndarray:
-    """delta for new_steps preserving new_steps * result == old_steps * delta.
-
-    When new_steps is old_steps times a power of two the scaling is exact
-    arithmetic, so the rounded products agree bit for bit; otherwise the
-    nearest-quotient search makes them agree wherever a preimage exists
-    (within one float spacing in any case).
-    """
-    ratio = new_steps // old_steps if new_steps % old_steps == 0 else 0
-    if ratio and (ratio & (ratio - 1)) == 0:
-        return delta / ratio
-    return _closest_quotient(float(old_steps) * delta, float(new_steps))
 
 
 def raise_order(model: TmpnnModel, new_steps: int) -> TmpnnModel:
@@ -144,9 +129,8 @@ def raise_order(model: TmpnnModel, new_steps: int) -> TmpnnModel:
         ValueError: unless new_steps > model.steps.
     """
     _check_int("new_steps", new_steps, model.steps + 1)
-    delta = _scaled_delta(model.map.delta, model.steps, new_steps)
     return replace(model, steps=new_steps,
-                   map=TaylorMapWeights(basis=model.basis, delta=delta),
+                   map=rebuild_map(extract_ode(model), new_steps),
                    init_state=model.init_state.copy())
 
 
@@ -155,12 +139,13 @@ def rescale_time(model: TmpnnModel, tau_bar: float) -> TmpnnModel:
 
     W_q scales by tau_bar for q != 1 and W1 maps to (W1 - I) tau_bar + I;
     in deviation form that is one multiplication.  tau_bar = 1 returns an
-    identical model; tau_bar = 0 collapses the map to the identity.
+    identical model; tau_bar = 0 collapses the map to the identity.  A
+    tau_bar that overflows a weight is a ValueError naming it.
     """
     _check_real("tau_bar", tau_bar, 0)
-    return replace(model,
-                   map=TaylorMapWeights(basis=model.basis,
-                                        delta=model.map.delta * tau_bar),
+    with np.errstate(over="ignore"):
+        delta = _check_finite("tau_bar * delta", model.map.delta * tau_bar)
+    return replace(model, map=TaylorMapWeights(basis=model.basis, delta=delta),
                    init_state=model.init_state.copy())
 
 
@@ -189,18 +174,10 @@ def integrate_reference(ode: OdeSystem, z0, n_steps: int = 1000,
     """
     _check_int("n_steps", n_steps, 1)
     _check_real("t_end", t_end)
-    start = np.asarray(z0, dtype=np.float64)
+    start = _check_finite("z0", z0)
     if start.ndim not in (1, 2) or start.shape[-1] != ode.dim:
         raise ValueError(f"z0 must have shape ({ode.dim},) or (N, {ode.dim})")
     z = np.array(start.reshape(-1, ode.dim))
-    h = t_end / n_steps
-    A = ode.A
-    # RK4's weights folded into the coefficients: stage i + 1 starts at
-    # z + phi_i @ (c_i h A), and the step adds the four stages' monomials
-    # times [h/6 A; h/3 A; h/3 A; h/6 A] in one product
-    offsets = (0.5 * h) * A, (0.5 * h) * A, h * A
-    update = np.concatenate([(h / 6.0) * A, (h / 3.0) * A, (h / 3.0) * A,
-                             (h / 6.0) * A])
     # one workspace per call: the stages' monomials side by side, the
     # stage state and the next state
     size = ode.basis.size
@@ -208,8 +185,17 @@ def integrate_reference(ode: OdeSystem, z0, n_steps: int = 1000,
     blocks = [phis[i * size:(i + 1) * size] for i in range(4)]
     stage = np.empty_like(z)
     new = np.empty_like(z)
-    # overflow surfaces as a structured DivergenceError, not a warning
+    # overflow, of the coefficient tables too, surfaces as a structured
+    # DivergenceError, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        h = t_end / n_steps
+        A = ode.A
+        # RK4's weights folded into the coefficients: stage i + 1 starts at
+        # z + phi_i @ (c_i h A), and the step adds the four stages'
+        # monomials times [h/6 A; h/3 A; h/3 A; h/6 A] in one product
+        offsets = (0.5 * h) * A, (0.5 * h) * A, h * A
+        update = np.concatenate([(h / 6.0) * A, (h / 3.0) * A,
+                                 (h / 3.0) * A, (h / 6.0) * A])
         for step in range(n_steps):
             phi = eval_monomials_batch(ode.basis, z, blocks[0])
             for offset, block in zip(offsets, blocks[1:]):

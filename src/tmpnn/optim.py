@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import _check_finite
+
 
 @dataclass
 class AdamaxState:
@@ -55,12 +57,8 @@ def adamax_step(state: AdamaxState, params: list[np.ndarray],
     """
     if len(params) != len(gradient) or len(params) != len(state.first_moment):
         raise ValueError("params, gradient and state must have equal lengths")
-    for p, g in zip(params, gradient):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match "
-                             f"parameter shape {p.shape}")
-        if not np.isfinite(g).all():
-            raise ValueError("gradient contains non-finite entries")
+    gradient = [_check_finite(f"gradient[{i}]", g, p.shape)
+                for i, (p, g) in enumerate(zip(params, gradient))]
 
     alpha = state.alpha if lr is None else lr
     state.step_count += 1

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import MonomialBasis, build_basis
+from .errors import _check_finite
 
 
 def _degree1_indices(basis: MonomialBasis) -> np.ndarray:
@@ -47,13 +48,8 @@ class TaylorMapWeights:
     delta: np.ndarray
 
     def __post_init__(self):
-        self.delta = np.asarray(self.delta, dtype=np.float64)
-        expected = (self.basis.size, self.basis.dim)
-        if self.delta.shape != expected:
-            raise ValueError(f"weight matrix has shape {self.delta.shape}, "
-                             f"expected {expected}")
-        if not np.all(np.isfinite(self.delta)):
-            raise ValueError("weight matrix contains non-finite entries")
+        self.delta = _check_finite("delta", self.delta,
+                                   (self.basis.size, self.basis.dim))
 
     @property
     def dim(self) -> int:

@@ -48,18 +48,18 @@ def test_gen_data_writes_loadable_csv(tmp_path, capsys):
 WIDE = [str(-10 ** 308), "1e308"]
 
 
+# explicit ids: each case keeps its name when the list changes
 @pytest.mark.parametrize("argv,name", [
-    (["gen-data", "linear", "--range", "0", "inf"], "x_range"),
-    (["gen-data", "linear", "--range", *WIDE], "x_range"),
-    (["train", "--gen", "linear", "--range", "0", "inf"], "x_range"),
-    (["train", "--gen", "linear", "--range", *WIDE], "x_range"),
-    (["gen-data", "friedman1", "--noise", "nan"], "noise_std"),
+    pytest.param(["gen-data", "linear", "--range", *WIDE], "x_range",
+                 id="argv1-x_range"),
+    pytest.param(["train", "--gen", "linear", "--range", *WIDE], "x_range",
+                 id="argv3-x_range"),
 ])
 def test_a_bad_generator_setting_is_one_error_line_naming_it(tmp_path, argv,
                                                              name, capsys):
-    # the ranges used to end in numpy's OverflowError with a traceback (the
-    # second pair has finite bounds but no finite width), and a nan noise
-    # level to write noise-free data
+    # finite bounds without a finite width used to end in numpy's
+    # OverflowError with a traceback; a bound that is not finite is a usage
+    # error (test_a_malformed_flag_value_is_a_usage_error_naming_the_flag)
     assert run(*argv, "--out", tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name} ") and err.count("\n") == 1
@@ -278,13 +278,8 @@ def test_trained_model_fits_the_line(trained):
 
 
 @pytest.mark.parametrize("argv,fragment", [
-    (["train", "--gen", "linear", "--data", "x.csv", "--targets", "y",
-      "--out", "m.json"], "mutually exclusive"),
-    (["train", "--out", "m.json"], "one of --data or --gen"),
-    (["train", "--data", "missing.csv", "--out", "m.json"],
-     "--targets is required"),
-    (["train", "--gen", "linear", "--test-fraction", "0.2",
-      "--split-quantile", "x:0.5", "--out", "m.json"], "mutually exclusive"),
+    pytest.param(["train", "--data", "missing.csv", "--out", "m.json"],
+                 "--targets is required", id="argv2---targets is required"),
 ])
 def test_usage_errors_exit_1_with_message(argv, fragment, capsys):
     assert main(argv) == 1
@@ -338,14 +333,63 @@ def test_argparse_usage_error_exits_2():
      "--batch"),
     (["train", "--gen", "linear", "--batch", "-3", "--out", "m.json"],
      "--batch"),
+    (["gen-data", "linear", "--range", "0", "inf", "--out", "d.csv"],
+     "--range"),
+    (["train", "--gen", "linear", "--range", "0", "inf", "--out", "m.json"],
+     "--range"),
+    (["gen-data", "friedman1", "--noise", "nan", "--out", "d.csv"],
+     "--noise"),
+    (["train", "--gen", "linear", "--data", "x.csv", "--targets", "y",
+      "--out", "m.json"], "--data"),
+    (["train", "--gen", "linear", "--test-fraction", "0.2",
+      "--split-quantile", "x:0.5", "--out", "m.json"], "--split-quantile"),
+    (["gen-data", "linear", "--samples", "0", "--out", "d.csv"], "--samples"),
+    (["train", "--gen", "linear", "--order", "0", "--out", "m.json"],
+     "--order"),
+    (["train", "--gen", "linear", "--lr", "-1", "--out", "m.json"], "--lr"),
+    (["train", "--gen", "linear", "--test-fraction", "1.5",
+      "--out", "m.json"], "--test-fraction"),
+    (["train", "--gen", "linear", "--split-quantile", "x:2",
+      "--out", "m.json"], "--split-quantile"),
+    (["inspect-ode", "--model", "m.json", "--threshold", "nan"],
+     "--threshold"),
+    (["evaluate", "--model", "m.json", "--data", "d.csv",
+      "--test-fraction", "0.5", "--split-quantile", "x:0.5"],
+     "--split-quantile"),
+    (["gen-data", "linear", "--seed", "-1", "--out", "d.csv"], "--seed"),
+    (["train", "--gen", "linear", "--epochs", "0", "--out", "m.json"],
+     "--epochs"),
+    (["raise-order", "--model", "m.json", "--steps", "0", "--out", "r.json"],
+     "--steps"),
 ])
 def test_a_malformed_flag_value_is_a_usage_error_naming_the_flag(
         argv, flag, capsys):
-    # the first two used to exit 1 with Python's conversion message only
+    # the first two used to exit 1 with Python's conversion message only;
+    # a value that breaks the library's rule for the argument fails here,
+    # before any file is read
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_train_without_a_data_source_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--out", "m.json"])
+    assert exc.value.code == 2
+    assert "one of the arguments --data --gen is required" in (
+        capsys.readouterr().err)
+
+
+def test_raise_order_to_no_more_steps_names_the_flag(trained, tmp_path,
+                                                     capsys):
+    model_path, _ = trained
+    out_path = tmp_path / "raised.json"
+    assert run("raise-order", "--model", model_path, "--steps", 3,
+               "--out", out_path) == 1
+    assert capsys.readouterr().err == (
+        "error: --steps must be an int >= 4, got 3\n")
+    assert not out_path.exists()
 
 
 def test_console_script_runs():

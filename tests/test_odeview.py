@@ -344,6 +344,24 @@ def test_a_non_finite_horizon_is_a_value_error_naming_it():
                 rescale_time(model, bad)
 
 
+def test_a_finite_horizon_that_overflows_is_a_divergence_or_names_tau_bar():
+    # the RK4 coefficient tables for t_end = 1e308 used to overflow with a
+    # warning before the integration began, and rescale_time to warn, then
+    # blame the weight matrix
+    basis = build_basis(2, 2)
+    ode = OdeSystem(basis=basis, A=np.full((basis.size, 2), 10.0))
+    model = TmpnnModel.create(1, 1, order=2, steps=2)
+    model.map.delta = np.full(model.map.delta.shape, 5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n_steps in (1, 4):
+            with pytest.raises(DivergenceError) as err:
+                integrate_reference(ode, [0.5, 0.5], n_steps, 1e308)
+            assert (err.value.step, err.value.row) == (1, None)
+        with pytest.raises(ValueError, match="^tau_bar .* at row 0, column 0$"):
+            rescale_time(model, 1e308)
+
+
 def test_render_threshold_and_name_validation():
     basis = build_basis(1, 1)
     A = np.array([[1e-12], [1.0]])

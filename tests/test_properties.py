@@ -2,10 +2,11 @@
 extract/rebuild and raise-order at step doublings over random model
 shapes, CSV save/load over random tables, and table parsing against a
 per-cell float() reference; of the model-file boundary under mutated
-documents; and of the one rule for numeric arguments."""
+documents; and of the one rule for numeric and array arguments."""
 
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -17,12 +18,14 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 import tmpnn.data
-from tmpnn import (Dataset, DivergenceError, Scaler, TmpnnModel, TrainConfig,
+from tmpnn import (AdamaxState, Dataset, DivergenceError, OdeSystem, Scaler,
+                   TaylorMapWeights, TmpnnModel, TrainConfig, adamax_step,
                    build_basis, extract_ode, gen_friedman1, gen_noisy_linear,
-                   integrate_reference, load_csv, load_model, load_table,
-                   model_from_dict, model_to_dict, predict, raise_order,
-                   rebuild_map, render_ode, rescale_time, save_csv,
-                   save_model, split_quantile, split_random)
+                   identity_weights, integrate_reference, load_csv,
+                   load_model, load_table, model_from_dict, model_to_dict,
+                   predict, raise_order, rebuild_map, render_ode,
+                   rescale_time, save_csv, save_model, split_quantile,
+                   split_random)
 
 # (n, m, l, k, p) with the weights, init state and scaler drawn from a seed
 shapes = st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2),
@@ -379,3 +382,75 @@ def test_every_numeric_argument_follows_one_rule(data):
             for value in rejected + [data.draw(drawn, label=name)]:
                 with pytest.raises(ValueError, match=f"^{name} "):
                     call(value)
+
+
+def _adamax(gradient):
+    params = [np.zeros((2, 2))]
+    return adamax_step(AdamaxState.init(params), params, [gradient])
+
+
+# every array boundary: the argument's name, a call taking the array, the
+# shape it accepts, and shapes it must reject by name (predict's width and
+# rank messages are its own)
+ARRAYS = [
+    ("mean", lambda v: Scaler(mean=v, scale=np.ones(2)), (2,), [(2, 1), ()]),
+    ("scale", lambda v: Scaler(mean=np.zeros(2), scale=v), (2,),
+     [(3,), (2, 1)]),
+    ("init_state", lambda v: TmpnnModel(**_sizes, map=identity_weights(2, 2),
+                                        init_state=v), (1,), [(2,), (1, 1)]),
+    ("X", lambda v: predict(_model, v), (3, 1), []),
+    ("delta", lambda v: TaylorMapWeights(basis=build_basis(2, 2), delta=v),
+     (6, 2), [(5, 2), (6, 2, 1)]),
+    ("A", lambda v: OdeSystem(basis=build_basis(2, 2), A=v), (6, 2),
+     [(6, 3), (6,)]),
+    ("X", lambda v: Dataset(v, np.zeros(3), ["a", "b"], ["y"]), (3, 2),
+     [(3, 2, 1)]),
+    ("Y", lambda v: Dataset(np.zeros((3, 2)), v, ["a", "b"], ["y"]), (3, 1),
+     [(4, 1), (3, 1, 1)]),
+    ("gradient[0]", _adamax, (2, 2), [(2, 3), (4,)]),
+    ("z0", lambda v: integrate_reference(_ode, v, 4), (2,), [(3,), ()]),
+    ("z0", lambda v: integrate_reference(_ode, v, 4), (3, 2),
+     [(3, 3), (2, 2, 1)]),
+]
+
+
+def place(at):
+    return f"row {at[0]}, column {at[1]}" if len(at) == 2 else f"entry {at[0]}"
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_every_array_argument_follows_one_rule(data):
+    # a non-finite entry is a ValueError naming the argument and the
+    # entry's place, a wrong shape one naming the argument: never a
+    # warning or a DivergenceError, and never accepted
+    for name, call, shape, wrong in ARRAYS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call(np.full(shape, 0.5))
+            at = data.draw(st.tuples(*[st.integers(0, n - 1) for n in shape]),
+                           label=name)
+            bad = data.draw(st.sampled_from(NOT_FINITE), label=name)
+            value = np.full(shape, 0.5)
+            value[at] = bad
+            text = f"{name} holds the non-finite value {bad} at {place(at)}"
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                call(value)
+            if wrong:
+                other = data.draw(st.sampled_from(wrong), label=name)
+                with pytest.raises(ValueError, match=f"^{re.escape(name)} "):
+                    call(np.full(other, 0.5))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 1), st.sampled_from([1.0, -1.0]))
+def test_a_horizon_that_overflows_a_weight_names_tau_bar(row, col, sign):
+    # rescale_time used to warn, then blame the weight matrix
+    model = TmpnnModel.create(1, 1, order=2, steps=2)
+    model.map.delta[row, col] = sign * 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            rescale_time(model, 1e10)
+    assert str(err.value) == (f"tau_bar * delta holds the non-finite value "
+                              f"{sign * math.inf} at row {row}, column {col}")
