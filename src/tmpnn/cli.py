@@ -30,9 +30,9 @@ def _parse_targets(spec: str):
 
 
 def _checked(check, *bounds, **options):
-    """An argparse type holding a flag to check, an errors.py rule, on its
-    text read by int() for _check_int and by float() otherwise: a value
-    that breaks the rule is a usage error naming the flag."""
+    """An argparse type holding a flag's text, read by int() for _check_int
+    and by float() otherwise, to that errors.py rule; argparse names the
+    flag in the usage error, so the rule's message goes without a name."""
     def parse(text: str):
         try:
             value = (int if check is _check_int else float)(text)
