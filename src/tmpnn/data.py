@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,8 +119,8 @@ def default_column_names(width: int) -> list[str]:
 
 
 # Rows parsed, or formatted, as one block: enough that the per-block
-# calls cost nothing next to the per-cell work, few enough that a block's
-# cell strings stay small next to the parsed values.
+# calls cost nothing next to the per-row work, few enough that a block's
+# lines stay small next to the values (numpy's reader makes no cell strings).
 _BLOCK_ROWS = 1024
 
 
@@ -129,9 +130,11 @@ def load_table(path) -> tuple[list[str], np.ndarray]:
     The delimiter is semicolon, comma, or whitespace, whichever the first
     line uses.  A first row with non-numeric cells becomes the column
     names; otherwise columns are named c1, c2, ...  Blank lines are
-    skipped and cells may be padded with blanks; each cell is read by
-    Python's float().  The lines are read and parsed a block at a time,
-    so beyond the result only one block's text is held.
+    skipped and cells may be padded with blanks.  The lines are read a
+    block at a time, so beyond the result only one block's text is held,
+    and each block is parsed by numpy's C reader, which rounds as float()
+    does.  A block it refuses is read cell by cell with float(), which
+    also reads the spellings numpy does not (1_000, non-ASCII digits).
 
     Returns:
         (names, values) with values of shape (rows, columns).
@@ -163,9 +166,13 @@ def load_table(path) -> tuple[list[str], np.ndarray]:
         blocks = []
         n_rows = 0
         while block := list(itertools.islice(lines, _BLOCK_ROWS)):
-            out = np.empty((len(block), len(names)))
-            if not _parse_block(block, delim, out):
-                _parse_block_by_cell(path, block, delim, names, out, n_rows)
+            try:
+                # comments=None: a "#" is a bad cell, not a comment
+                out = np.loadtxt(block, delimiter=delim, comments=None, ndmin=2)
+            except ValueError:
+                out = None
+            if out is None or out.shape != (len(block), len(names)):
+                out = _parse_block_by_cell(path, block, delim, names, n_rows)
             blocks.append(out)
             n_rows += len(block)
     if not blocks:
@@ -179,34 +186,13 @@ def load_table(path) -> tuple[list[str], np.ndarray]:
     return names, rows
 
 
-def _parse_block(block: list[str], delim: str | None, out: np.ndarray) -> bool:
-    """Parse stripped, non-blank lines into out, one row per line; False
-    when a row has the wrong width or a cell does not convert.  float()
-    ignores the blanks around a cell as str.strip() does, and rejects an
-    empty one."""
-    width = out.shape[1]
-    if delim is None:
-        split = [line.split() for line in block]
-        if any(len(cells) != width for cells in split):
-            return False
-        cells = list(itertools.chain.from_iterable(split))
-    else:
-        if any(line.count(delim) != width - 1 for line in block):
-            return False
-        cells = delim.join(block).split(delim)
-    try:
-        out[:] = np.fromiter(map(float, cells), np.float64,
-                             out.size).reshape(out.shape)
-    except ValueError:
-        return False
-    return True
-
-
 def _parse_block_by_cell(path, block: list[str], delim: str | None,
-                         names: list[str], out: np.ndarray, start: int) -> None:
-    """Parse a block cell by cell, raising at its first bad row or cell
-    with the position counted from the first data row of the file."""
+                         names: list[str], start: int) -> np.ndarray:
+    """Parse a block cell by cell with float(), raising at its first bad
+    row or cell with the position counted from the first data row of the
+    file."""
     width = len(names)
+    out = np.empty((len(block), width))
     for i, line in enumerate(block):
         r = start + i + 1
         cells = _split_line(line, delim)
@@ -222,6 +208,7 @@ def _parse_block_by_cell(path, block: list[str], delim: str | None,
             except ValueError:
                 raise ValueError(f"{path}: non-numeric cell {cell!r} at "
                                  f"row {r}, column {names[c]!r}") from None
+    return out
 
 
 def load_csv(path, target_columns) -> Dataset:
@@ -232,22 +219,24 @@ def load_csv(path, target_columns) -> Dataset:
 
     Args:
         path: file to read.
-        target_columns: either a list of column names, or a positive int
-            meaning "the last that many columns".
+        target_columns: a column name, a list of them, or a count n >= 1
+            (an int or a numpy integer) meaning "the last n columns".
 
     Raises:
-        ValueError: parse errors as load_table, or an unknown target name
-            (the error lists the available names).
+        ValueError: parse errors as load_table, a bad count, or an
+            unknown target name (the error lists the available names).
     """
     names, rows = load_table(path)
     width = len(names)
-    if isinstance(target_columns, int):
-        if not 1 <= target_columns < width:
+    if isinstance(target_columns, (numbers.Number, np.bool_)):
+        _check_int("target_columns", target_columns, 1)
+        if target_columns >= width:
             raise ValueError(f"target count {target_columns} must be in "
                              f"[1, {width - 1}]")
         target_names = names[-target_columns:]
     else:
-        target_names = list(target_columns)
+        target_names = ([target_columns] if isinstance(target_columns, str)
+                        else list(target_columns))
         for name in target_names:
             if name not in names:
                 raise ValueError(f"unknown target column {name!r}; available: "

@@ -57,9 +57,11 @@ def _check_real(name: str, value, least=None, most=None,
     within the bounds given (None: no bound), excluded when strict."""
     import math
     import numbers
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            # compared, not math.isfinite, which overflows on a large int
-            or not -math.inf < value < math.inf
+    try:  # an int that overflows float() is not finite either
+        finite = isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if (isinstance(value, bool) or not finite
             or least is not None and not (value > least if strict else value >= least)
             or most is not None and not (value < most if strict else value <= most)):
         ops = ((">" if strict else ">=", least), ("<" if strict else "<=", most))

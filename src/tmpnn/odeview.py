@@ -91,10 +91,13 @@ def extract_ode(model: TmpnnModel) -> OdeSystem:
     A_q = p W_q for q != 1 and A1 = p (W1 - I); in the stored
     identity-deviation form both are A = p * delta.  The system describes
     the model's internal state, so when feature standardization is on, the
-    feature coordinates are the scaled ones.
+    feature coordinates are the scaled ones.  A weight that p * delta
+    overflows is a ValueError naming steps * delta.
     """
     p = float(model.steps)
-    return OdeSystem(basis=model.basis, A=p * model.map.delta,
+    with np.errstate(over="ignore"):
+        A = _check_finite("steps * delta", p * model.map.delta)
+    return OdeSystem(basis=model.basis, A=A,
                      _source=(model.map.delta.copy(), model.steps))
 
 

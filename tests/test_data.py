@@ -1,10 +1,12 @@
 """Dataset container, generators, table loading, splits, and metrics."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import tmpnn.data
 from tmpnn.data import (_BLOCK_ROWS, Dataset, gen_friedman1, gen_noisy_linear,
                         load_csv, load_table, metric_mse, metric_r2, save_csv,
                         split_quantile, split_random)
@@ -166,6 +168,29 @@ def test_load_table_errors_in_the_last_block_name_the_file_row(
     assert str(err.value) == f"{path}: " + message.format(r=bad_row)
 
 
+@pytest.mark.parametrize("delim", [",", ";", " "])
+def test_numpy_reads_every_clean_block(tmp_path, delim):
+    path, rows = _long_table(tmp_path, delim)
+    with mock.patch.object(tmpnn.data, "_parse_block_by_cell",
+                           side_effect=AssertionError("read cell by cell")):
+        _, got = load_table(path)
+    assert got.tobytes() == rows.tobytes()
+
+
+def test_only_a_block_numpy_refuses_is_read_cell_by_cell(tmp_path):
+    # numpy does not read "1_000", float() does: the middle block of three
+    bad_row = _BLOCK_ROWS + 10
+    path, rows = _long_table(tmp_path, bad_row=bad_row,
+                             bad_line="1_000,2.5,-0.0")
+    by_cell = tmpnn.data._parse_block_by_cell
+    with mock.patch.object(tmpnn.data, "_parse_block_by_cell",
+                           wraps=by_cell) as spy:
+        _, got = load_table(path)
+    assert [call.args[-1] for call in spy.call_args_list] == [_BLOCK_ROWS]
+    rows[bad_row - 1] = [1000.0, 2.5, -0.0]
+    assert got.tobytes() == rows.tobytes()
+
+
 def test_load_table_holds_one_block_of_text_at_a_time(tmp_path):
     # 50k rows: 4.6 MiB of text, 1.9 MiB of values.  Beyond the values
     # and the blocks they are joined from, only a block's lines and cells
@@ -203,6 +228,35 @@ def test_load_csv_trailing_count_and_named_targets(tmp_path):
         load_csv(path, 4)
     with pytest.raises(ValueError):
         load_csv(path, 0)
+
+
+def test_load_csv_takes_one_target_name(tmp_path):
+    # a name used to be split into its characters: unknown column 'x'
+    path = tmp_path / "t.csv"
+    path.write_text("x1,x2,y\n1,2,3\n4,5,6\n")
+    ds = load_csv(path, "x1")
+    assert ds.feature_names == ["x2", "y"]
+    assert ds.target_names == ["x1"]
+    np.testing.assert_array_equal(ds.Y, [[1], [4]])
+
+
+def test_load_csv_takes_a_numpy_integer_count(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,y\n1,2,3\n4,5,6\n")
+    ds = load_csv(path, np.int64(1))
+    assert ds.target_names == ["y"]
+    np.testing.assert_array_equal(ds.X, [[1, 2], [4, 5]])
+
+
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["True", "np.True_"])
+def test_load_csv_rejects_a_bool_count(tmp_path, flag):
+    # True used to pick the last column, as the count 1, and np.True_ to
+    # be a TypeError
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,y\n1,2,3\n4,5,6\n")
+    with pytest.raises(ValueError, match="^target_columns must be an int "
+                                         f">= 1, got {flag!r}$"):
+        load_csv(path, flag)
 
 
 def test_save_load_round_trip_is_exact(tmp_path):

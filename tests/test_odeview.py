@@ -362,6 +362,19 @@ def test_a_finite_horizon_that_overflows_is_a_divergence_or_names_tau_bar():
             rescale_time(model, 1e308)
 
 
+def test_weights_that_steps_times_delta_overflows_name_it():
+    # extract_ode, and raise_order through it, used to warn "overflow
+    # encountered in multiply" before OdeSystem rejected A
+    model = TmpnnModel.create(1, 1, order=2, steps=2)
+    model.map.delta = np.full(model.map.delta.shape, 1e308)
+    text = "steps * delta holds the non-finite value inf at row 0, column 0"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: extract_ode(model), lambda: raise_order(model, 4)):
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                call()
+
+
 def test_render_threshold_and_name_validation():
     basis = build_basis(1, 1)
     A = np.array([[1e-12], [1.0]])

@@ -238,7 +238,13 @@ number_texts = st.one_of(
     finite.map(repr), finite.map("{:.6e}".format), finite.map("{:g}".format),
     st.integers(-10 ** 6, 10 ** 6).map(str),
     st.integers(0, 10 ** 4).map("+{:_}".format),
-    st.sampled_from(["-0", "-0.0", "+.5", "1.", "1E3", "2e-308", "5e-324"]))
+    st.sampled_from(["-0", "-0.0", "+.5", "1.", "1E3", "2e-308", "5e-324"]),
+    # mantissas of 17-25 digits, where a double holds at most 17
+    st.builds("{}.{}e{}".format, st.integers(0, 9),
+              st.integers(10 ** 15, 10 ** 24 - 1), st.integers(-320, 300)),
+    # spellings numpy's C reader refuses and float() reads, so that a
+    # table mixes blocks read by numpy with blocks read cell by cell
+    st.sampled_from(["\u0663", "-\u0661\u0662.\u0665", "1_0", "1_000.000_1"]))
 blanks = st.text(" \t", max_size=3)
 
 
@@ -307,7 +313,9 @@ def count(name, call, least):
 def real(name, call, least=None, most=None, strict=False, inside=None):
     """A row for a finite real within the bounds, excluded when strict;
     inside is the value it must accept, least by default."""
-    rejected, drawn = [True, np.True_, "3", None, *NOT_FINITE], []
+    # an int beyond float range is not finite either
+    rejected = [True, np.True_, "3", None, *NOT_FINITE, 10 ** 400, -10 ** 400]
+    drawn = []
     if least is not None:
         edge = least if strict else math.nextafter(least, -math.inf)
         rejected.append(edge)
