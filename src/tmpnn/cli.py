@@ -22,13 +22,6 @@ import sys
 from .errors import TmpnnError, _check_int, _check_real
 
 
-def _parse_targets(spec: str):
-    try:
-        return int(spec)
-    except ValueError:
-        return [name.strip() for name in spec.split(",") if name.strip()]
-
-
 def _checked(check, *bounds, **options):
     """An argparse type holding a flag's text, read by int() for _check_int
     and by float() otherwise, to that errors.py rule; argparse names the
@@ -49,6 +42,16 @@ def _checked(check, *bounds, **options):
 _count, _positive = _checked(_check_int, 0), _checked(_check_int, 1)
 _non_negative, _fraction = (_checked(_check_real, 0),
                             _checked(_check_real, 0, 1, strict=True))
+
+
+def _parse_targets(spec: str):
+    """--targets: a trailing count, held to _positive, or comma-separated
+    column names."""
+    try:
+        int(spec)
+    except ValueError:
+        return [name.strip() for name in spec.split(",") if name.strip()]
+    return _positive(spec)
 
 
 def _parse_batch(spec: str):
@@ -79,7 +82,7 @@ def _load_training_data(args):
         return _generate(args.gen, args)
     if args.targets is None:
         raise ValueError("--targets is required with --data")
-    return datamod.load_csv(args.data, _parse_targets(args.targets))
+    return datamod.load_csv(args.data, args.targets)
 
 
 def _split(args, dataset):
@@ -149,59 +152,57 @@ def cmd_train(args) -> int:
 
 def _resolve_eval_targets(args, extras):
     if args.targets is not None:
-        return _parse_targets(args.targets)
+        return args.targets
     if extras.get("target_names"):
         return list(extras["target_names"])
     raise ValueError("the model file records no target names; pass --targets")
 
 
-def _model_features(path, names, X, model, feature_names):
-    """X's columns in the model's feature order: matched by header name
-    when the file has a header and the model records names, by position
-    otherwise.  Header names that do not match are a ValueError naming
-    the missing and the unexpected ones."""
-    from . import data as datamod
-    if X.shape[1] != model.n_features:
-        raise ValueError(f"data has {X.shape[1]} feature columns but the "
-                         f"model expects {model.n_features}")
-    if not feature_names or names == feature_names:
-        return X
-    missing = [n for n in feature_names if n not in names]
-    unexpected = [n for n in names if n not in feature_names]
-    if not missing and not unexpected:
-        return X[:, [names.index(n) for n in feature_names]]
-    # a file without a header has load_table's default names, among them
-    # the target columns' when evaluating
-    if not set(names) - set(datamod.default_column_names(
-            len(names) + model.n_targets)):
-        return X
-    raise ValueError(f"{path}: columns do not match the model's features "
-                     f"({', '.join(feature_names)}): missing "
-                     f"{', '.join(missing) or 'none'}; unexpected "
-                     f"{', '.join(unexpected) or 'none'}")
+def _model_columns(path, what, names, values, model, extras, headerless):
+    """(names, values) of a file's what ("feature" or "target") columns in
+    the model's order: matched by header name when the file has a header
+    and the model records names, by position otherwise.  A column count
+    other than the model's, or header names that do not match, is a
+    ValueError; a mismatch names the missing and the unexpected ones."""
+    count, recorded = getattr(model, f"n_{what}s"), extras.get(f"{what}_names")
+    if values.shape[1] != count:
+        raise ValueError(f"data has {values.shape[1]} {what} columns but "
+                         f"the model expects {count}")
+    if headerless or not recorded or names == recorded:
+        return names, values
+    missing = [n for n in recorded if n not in names]
+    unexpected = [n for n in names if n not in recorded]
+    if missing or unexpected:
+        raise ValueError(f"{path}: columns do not match the model's {what}s "
+                         f"({', '.join(recorded)}): missing "
+                         f"{', '.join(missing) or 'none'}; unexpected "
+                         f"{', '.join(unexpected) or 'none'}")
+    return recorded, values[:, [names.index(n) for n in recorded]]
 
 
 def cmd_evaluate(args) -> int:
     from . import data as datamod, io as iomod, model as modelmod
     model, extras = iomod.load_model(args.model)
     dataset = datamod.load_csv(args.data, _resolve_eval_targets(args, extras))
-    if dataset.n_targets != model.n_targets:
-        raise ValueError(f"data has {dataset.n_targets} target columns but "
-                         f"the model predicts {model.n_targets}")
     _, test = _split(args, dataset)
     if test is not None:
         dataset = test
 
-    X = _model_features(args.data, dataset.feature_names, dataset.X, model,
-                        extras.get("feature_names"))
+    # a file without a header has load_table's default names
+    columns = set(dataset.feature_names + dataset.target_names)
+    headerless = columns == set(datamod.default_column_names(len(columns)))
+    _, X = _model_columns(args.data, "feature", dataset.feature_names,
+                          dataset.X, model, extras, headerless)
+    targets, Y = _model_columns(args.data, "target", dataset.target_names,
+                                dataset.Y, model, extras, headerless)
     pred = modelmod.predict(model, X)
     print(f"rows {dataset.n_samples}")
-    for j, name in enumerate(dataset.target_names):
-        mse = datamod.metric_mse(dataset.Y[:, j], pred[:, j])
-        r2 = datamod.metric_r2(dataset.Y[:, j], pred[:, j])
+    for j, name in enumerate(targets):
+        mse = datamod.metric_mse(Y[:, j], pred[:, j])
+        r2 = datamod.metric_r2(Y[:, j], pred[:, j])
         print(f"target {name} mse {mse:.6g} r2 {r2:.6g}")
-    print(f"overall mse {datamod.metric_mse(dataset.Y, pred):.6g} "
-          f"r2 {datamod.metric_r2(dataset.Y, pred):.6g}")
+    print(f"overall mse {datamod.metric_mse(Y, pred):.6g} "
+          f"r2 {datamod.metric_r2(Y, pred):.6g}")
     return 0
 
 
@@ -209,7 +210,8 @@ def cmd_predict(args) -> int:
     from . import data as datamod, io as iomod, model as modelmod
     model, extras = iomod.load_model(args.model)
     names, X = datamod.load_table(args.data)
-    X = _model_features(args.data, names, X, model, extras.get("feature_names"))
+    _, X = _model_columns(args.data, "feature", names, X, model, extras,
+                          names == datamod.default_column_names(len(names)))
     pred = modelmod.predict(model, X)
     chunks = datamod.csv_text_blocks(_target_names(model, extras), pred)
     if args.out is not None:
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--gen", choices=["friedman1", "linear"],
                         help="generate the training data instead")
     _add_gen_flags(p)
-    p.add_argument("--targets",
+    p.add_argument("--targets", type=_parse_targets,
                    help="target columns: comma-separated names or a trailing count")
     p.add_argument("--order", type=_positive, default=3)
     p.add_argument("--steps", type=_positive, default=5)
@@ -333,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="report metrics on a labeled CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--targets",
+    p.add_argument("--targets", type=_parse_targets,
                    help="target columns if the model file lacks names")
     _add_split_flags(p, "evaluate only a random test portion",
                      "evaluate only rows above the column quantile")

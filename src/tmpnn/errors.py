@@ -72,9 +72,14 @@ def _check_real(name: str, value, least=None, most=None,
 def _check_finite(name: str, value, shape=None):
     """value as a float64 array; a ValueError naming the argument unless
     it has the shape given (a None entry allows any length on that axis)
-    and holds finite numbers only, naming the first bad entry's place."""
+    and holds finite numbers only, naming the first bad entry's place (an
+    int beyond the float range is not finite either; it is named by the
+    argument alone, since numpy refuses the conversion as a whole)."""
     import numpy as np  # not at the top: the CLI imports this module at start-up
-    value = np.asarray(value, dtype=np.float64)
+    try:
+        value = np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{name} holds an int beyond the float range") from None
     if shape is not None and (value.ndim != len(shape) or any(
             want not in (None, got) for want, got in zip(shape, value.shape))):
         raise ValueError(f"{name} must have shape {shape}, got {value.shape}")

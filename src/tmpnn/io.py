@@ -2,10 +2,11 @@
 
 The file is self-describing: dimensions, basis ordering contract, the
 stored coefficient form, scaler state, and training metadata all travel
-with the weights, and loading validates every dimension relation before
-constructing a model.  Floats are written in shortest round-trip form, so
-a saved model predicts bit-identically after loading.  No timestamps or
-environment details are recorded; equal models serialize to equal bytes.
+with the weights, and loading checks every field (each count, number and
+array by errors.py's rules) before constructing a model.  Floats are
+written in shortest round-trip form, so a saved model predicts
+bit-identically after loading.  No timestamps or environment details are
+recorded; equal models serialize to equal bytes.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numbers
 import numpy as np
 
 from .basis import build_basis
+from .errors import _check_finite, _check_int, _check_real
 from .model import Scaler, TmpnnModel
 from .taylor_map import TaylorMapWeights
 
@@ -80,23 +82,26 @@ def model_from_dict(doc: dict) -> tuple[TmpnnModel, dict]:
     extras carries feature_names, target_names and training metadata.
 
     Raises:
-        ValueError: a missing key, a format_version or dimension that
-            is not an integer (bool, strings and fractions included), a
-            version mismatch, a dimension out of range, an array or
-            number field holding anything but finite numbers (bool is
-            not a number), a flag that is not true or false, names that
-            are not null or one string per column, a malformed scaler,
-            or any inconsistent shape; the message names the key.
+        ValueError: a missing key; a format_version, basis_ordering or
+            weights_form other than this build's; a count, number or
+            array that breaks errors.py's rule for it (the message starts
+            with "model file key" and the key, such as 'steps' or
+            'scaler.mean'); an entry that is not a number (bool and
+            strings are not); a flag that is not true or false; names
+            that are not null or one string per column; or a malformed
+            scaler.  A count may be written 2.0, which reads as 2.
     """
-    version = _integer(doc, "format_version")
+    version = _count(doc, "format_version", 1)
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model file version {version!r}; "
                          f"this build reads version {FORMAT_VERSION}")
-    if doc.get("weights_form") != WEIGHTS_FORM:
-        raise ValueError(f"unknown weights_form {doc.get('weights_form')!r}")
+    for key, known in (("basis_ordering", BASIS_ORDERING),
+                       ("weights_form", WEIGHTS_FORM)):
+        if doc.get(key) != known:
+            raise ValueError(f"unknown {key} {doc.get(key)!r}")
 
     n, m, latent, order, steps = (
-        _dimension(doc, key, low) for key, low in
+        _count(doc, key, least) for key, least in
         (("n_features", 1), ("n_targets", 1), ("n_latent", 0),
          ("order", 1), ("steps", 1)))
 
@@ -104,18 +109,11 @@ def model_from_dict(doc: dict) -> tuple[TmpnnModel, dict]:
     # before the basis is enumerated, so absurd dimensions fail here
     # instead of building a huge table
     dim = n + m + latent
-    delta = _floats(_required(doc, "weights"), "weights")
-    if delta.ndim != 2 or delta.shape[1] != dim:
-        raise ValueError(f"weight matrix shape {delta.shape} does not have "
-                         f"{dim} columns, one per state variable")
-    size = math.comb(dim + order, order)
-    if delta.shape[0] != size:
-        raise ValueError(f"weight matrix shape {delta.shape} does not match "
-                         f"basis {(size, dim)}")
-    init_state = _floats(_required(doc, "init_state"), "init_state")
-    if init_state.shape != (m + latent,):
-        raise ValueError(f"init_state shape {init_state.shape} must be "
-                         f"({m + latent},)")
+    weights = _numbers(_required(doc, "weights"), "weights")
+    size = math.comb(dim + order, order) if weights.shape[1:] == (dim,) else None
+    delta = _check_finite(_key("weights"), weights, (size, dim))
+    init_state = _floats(_required(doc, "init_state"), "init_state",
+                         (m + latent,))
 
     # a missing scaler would silently predict in unscaled coordinates
     scaler = _required(doc, "scaler")
@@ -123,19 +121,18 @@ def model_from_dict(doc: dict) -> tuple[TmpnnModel, dict]:
         if not (isinstance(scaler, dict) and {"mean", "scale"} <= scaler.keys()):
             raise ValueError("model file key 'scaler' must be null or an "
                              "object with 'mean' and 'scale'")
-        mean, scale = (_floats(scaler[part], f"scaler.{part}")
-                       for part in ("mean", "scale"))
-        if mean.shape != (n,) or scale.shape != (n,):
-            raise ValueError("scaler arrays must have one entry per feature")
-        scaler = Scaler(mean=mean, scale=scale)
+        scaler = Scaler(*(_floats(scaler[part], f"scaler.{part}", (n,))
+                          for part in ("mean", "scale")))
 
+    reg_l1, reg_l2 = (doc.get(key, 0.0) for key in ("reg_l1", "reg_l2"))
+    _check_real(_key("reg_l1"), reg_l1, 0)
+    _check_real(_key("reg_l2"), reg_l2, 0)
     model = TmpnnModel(
         n_features=n, n_targets=m, n_latent=latent, steps=steps,
         map=TaylorMapWeights(basis=build_basis(dim, order), delta=delta),
         init_state=init_state,
         init_trainable=_flag(doc, "init_trainable", False),
-        reg_l1=_coefficient(doc, "reg_l1"),
-        reg_l2=_coefficient(doc, "reg_l2"),
+        reg_l1=float(reg_l1), reg_l2=float(reg_l2),
         standardize=_flag(doc, "standardize", True),
         scaler=scaler)
     extras = {
@@ -146,59 +143,42 @@ def model_from_dict(doc: dict) -> tuple[TmpnnModel, dict]:
     return model, extras
 
 
+def _key(key: str) -> str:
+    """The name errors.py's checks give a document field."""
+    return f"model file key {key!r}"
+
+
 def _required(doc: dict, key: str):
     if key not in doc:
         raise ValueError(f"model file is missing {key!r}")
     return doc[key]
 
 
-def _integer(doc: dict, key: str) -> int:
-    """doc[key] as an exact int; JSON's 2.0 reads as 2, true and "2" fail."""
+def _count(doc: dict, key: str, least: int) -> int:
+    """doc[key] as an int >= least; JSON's 2.0 reads as 2, true and "2"
+    fail."""
     value = _required(doc, key)
-    integral = (isinstance(value, numbers.Integral)
-                or (isinstance(value, float) and value.is_integer()))
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"model file key {key!r} must be an integer, "
-                         f"got {value!r}")
-    return int(value)
-
-
-def _dimension(doc: dict, key: str, low: int) -> int:
-    """doc[key] as an exact int >= low."""
-    value = _integer(doc, key)
-    if value < low:
-        raise ValueError(f"model file has non-positive dimensions: {key!r} "
-                         f"is {value!r}, below {low}")
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    _check_int(_key(key), value, least)
     return value
 
 
-def _floats(value, key: str) -> np.ndarray:
-    """value, a number or nested lists of them, as a float64 array.
-
-    Every entry must be a finite real number; bool, strings, null,
-    objects and ragged lists (whose rows are entries of an object array)
-    are a ValueError naming key, as are NaN and the infinities that
-    Python's JSON reader accepts.
-    """
+def _numbers(value, key: str) -> np.ndarray:
+    """value, a number or nested lists of them, as an object array; a
+    ValueError naming key unless every entry is a number: bool, strings,
+    null, objects and ragged lists (whose rows are entries) are not."""
     entries = np.array(value, dtype=object)
     if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
                for v in entries.flat):
         raise ValueError(f"model file key {key!r} must hold numbers only")
-    try:
-        array = entries.astype(np.float64)
-    except OverflowError:  # an integer beyond the float range
-        array = np.array(np.inf)
-    if not np.isfinite(array).all():
-        raise ValueError(f"model file key {key!r} must hold finite numbers")
-    return array
+    return entries
 
 
-def _coefficient(doc: dict, key: str) -> float:
-    """doc[key], default 0, as one finite number >= 0."""
-    value = _floats(doc.get(key, 0.0), key)
-    if value.shape != () or value < 0:
-        raise ValueError(f"model file key {key!r} must be a number >= 0")
-    return float(value)
+def _floats(value, key: str, shape) -> np.ndarray:
+    """value as a float64 array of the shape, by the numbers-only scan
+    and errors.py's array rule."""
+    return _check_finite(_key(key), _numbers(value, key), shape)
 
 
 def _flag(doc: dict, key: str, default: bool) -> bool:

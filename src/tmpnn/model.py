@@ -174,7 +174,7 @@ class TmpnnModel:
     def _checked_features(self, X) -> np.ndarray:
         """X as a float64 (N, n_features) array, a view of X when it is
         one; a ValueError on a wrong width or rank or a non-finite value."""
-        X = np.asarray(X, dtype=np.float64)
+        X = np.asarray(X)  # _check_finite converts, and names a huge int
         if X.ndim > 2:
             raise ValueError(f"expected one row or a 2-D table of rows, "
                              f"got an array of shape {X.shape}")

@@ -240,6 +240,39 @@ def test_evaluate_header_mismatch_names_the_columns(tmp_path, friedman_model,
     assert "missing x5" in err and "unexpected z" in err
 
 
+def test_evaluate_matches_targets_by_name(tmp_path, capsys):
+    # targets used to be taken in the order --targets or the file gives,
+    # so y2's truth was scored against y1's prediction under y2's name
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1, 1, (120, 2))
+    Y = np.stack([X[:, 0] * X[:, 1], 3 * X.sum(1) + 2], 1)
+    data = tmp_path / "d.csv"
+    _write_features(data, ["a", "b", "y1", "y2"], np.hstack([X, Y]))
+    model_path = tmp_path / "m.json"
+    assert run("train", "--data", data, "--targets", "y1,y2", "--order", 2,
+               "--steps", 2, "--epochs", 20, "--out", model_path) == 0
+    capsys.readouterr()
+    assert run("evaluate", "--model", model_path, "--data", data) == 0
+    want = capsys.readouterr().out
+    assert "target y1 " in want and "target y2 " in want
+
+    swapped = tmp_path / "swapped.csv"
+    _write_features(swapped, ["a", "b", "y2", "y1"], np.hstack([X, Y[:, ::-1]]))
+    for path, targets in ((data, "y2,y1"), (swapped, "2"),
+                          (swapped, "y2,y1")):
+        assert run("evaluate", "--model", model_path, "--data", path,
+                   "--targets", targets) == 0
+        assert capsys.readouterr().out == want
+
+    # a target name the model does not record is named, as a feature's is
+    renamed = tmp_path / "renamed.csv"
+    _write_features(renamed, ["a", "b", "y1", "z"], np.hstack([X, Y]))
+    assert run("evaluate", "--model", model_path, "--data", renamed,
+               "--targets", "2") == 1
+    err = capsys.readouterr().err
+    assert "missing y2" in err and "unexpected z" in err
+
+
 def test_inspect_ode_renders_equations(trained, capsys):
     model_path, _ = trained
     assert run("inspect-ode", "--model", model_path) == 0
@@ -361,6 +394,8 @@ def test_argparse_usage_error_exits_2():
      "--epochs"),
     (["raise-order", "--model", "m.json", "--steps", "0", "--out", "r.json"],
      "--steps"),
+    (["train", "--data", "d.csv", "--targets", "0", "--out", "m.json"],
+     "--targets"),
 ])
 def test_a_malformed_flag_value_is_a_usage_error_naming_the_flag(
         argv, flag, capsys):
@@ -399,21 +434,34 @@ def test_console_script_runs():
     assert "train" in proc.stdout
 
 
+# explicit ids: each case keeps its name when its message is reworded
 @pytest.mark.parametrize("key,value,fragment", [
     ("n_features", None, "missing 'n_features'"),
-    ("steps", [1], "'steps' must be an integer"),
-    ("steps", 2.7, "'steps' must be an integer"),
-    ("steps", True, "'steps' must be an integer"),
+    pytest.param("steps", [1], "'steps' must be an int >= 1",
+                 id="steps-value1-'steps' must be an integer"),
+    pytest.param("steps", 2.7, "'steps' must be an int >= 1",
+                 id="steps-2.7-'steps' must be an integer"),
+    pytest.param("steps", True, "'steps' must be an int >= 1",
+                 id="steps-True-'steps' must be an integer"),
     ("scaler", "x", "'scaler' must be null or an object"),
     ("scaler", None, "missing 'scaler'"),
     # Python's JSON reader takes NaN and Infinity; the file must not
-    ("init_state", [float("nan")], "'init_state' must hold finite numbers"),
-    ("scaler.mean", [float("nan")], "'scaler.mean' must hold finite numbers"),
-    ("scaler.scale", [float("inf")],
-     "'scaler.scale' must hold finite numbers"),
-    ("reg_l2", float("nan"), "'reg_l2' must hold finite numbers"),
+    pytest.param("init_state", [float("nan")],
+                 "'init_state' holds the non-finite value nan",
+                 id="init_state-value6-'init_state' must hold finite numbers"),
+    pytest.param("scaler.mean", [float("nan")],
+                 "'scaler.mean' holds the non-finite value nan",
+                 id="scaler.mean-value7-'scaler.mean' must hold finite "
+                    "numbers"),
+    pytest.param("scaler.scale", [float("inf")],
+                 "'scaler.scale' holds the non-finite value inf",
+                 id="scaler.scale-value8-'scaler.scale' must hold finite "
+                    "numbers"),
+    pytest.param("reg_l2", float("nan"), "'reg_l2' must be finite",
+                 id="reg_l2-nan-'reg_l2' must hold finite numbers"),
     ("init_state", {"a": 1}, "'init_state' must hold numbers only"),
-    ("reg_l1", [1], "'reg_l1' must be a number"),
+    pytest.param("reg_l1", [1], "'reg_l1' must be finite",
+                 id="reg_l1-value11-'reg_l1' must be a number"),
 ])
 def test_malformed_model_file_is_one_error_line(tmp_path, trained, capsys,
                                                 key, value, fragment):

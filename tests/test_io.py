@@ -91,6 +91,12 @@ def test_version_and_kind_gates(tmp_path):
     with pytest.raises(ValueError, match="weights_form"):
         model_from_dict(doc)
 
+    # weights laid out by another monomial ordering would load mis-mapped
+    doc = model_to_dict(model)
+    doc["basis_ordering"] = "graded lexicographic"
+    with pytest.raises(ValueError, match="basis_ordering"):
+        model_from_dict(doc)
+
     path = tmp_path / "notamodel.json"
     path.write_text('{"kind": "something-else"}\n')
     with pytest.raises(ValueError, match="not a model file"):
@@ -105,23 +111,29 @@ def test_format_version_is_an_exact_integer():
     for value in (True, "1"):
         doc["format_version"] = value
         with pytest.raises(ValueError,
-                           match="'format_version' must be an integer"):
+                           match="'format_version' must be an int"):
             model_from_dict(doc)
 
 
+# explicit ids: each case keeps its name when its message is reworded
 @pytest.mark.parametrize("mutate,fragment", [
-    (lambda d: d.update(n_features=0), "non-positive"),
-    (lambda d: d.update(steps=0), "non-positive"),
+    pytest.param(lambda d: d.update(n_features=0),
+                 "'n_features' must be an int >= 1",
+                 id="<lambda>-non-positive0"),
+    pytest.param(lambda d: d.update(steps=0), "'steps' must be an int >= 1",
+                 id="<lambda>-non-positive1"),
     (lambda d: d.update(weights=d["weights"][:-1]), "shape"),
     (lambda d: d.update(init_state=[0.0]), "init_state"),
-    (lambda d: d["scaler"].update(mean=[0.0]), "per feature"),
+    pytest.param(lambda d: d["scaler"].update(mean=[0.0]),
+                 "'scaler.mean' must have shape (2,)",
+                 id="<lambda>-per feature"),
 ])
 def test_dimension_validation(mutate, fragment):
     model = make_model()
     doc = model_to_dict(model)
     doc["scaler"] = {"mean": [0.0, 0.0], "scale": [1.0, 1.0]}
     mutate(doc)
-    with pytest.raises(ValueError, match=fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
         model_from_dict(doc)
 
 
@@ -129,10 +141,14 @@ def test_dimension_validation(mutate, fragment):
     ("feature_names", "ab", "'feature_names' must be null or a list of 2"),
     ("target_names", ["u"], "'target_names' must be null or a list of 2"),
     ("init_trainable", "no", "'init_trainable' must be true or false"),
-    ("init_state", 5, "init_state shape ()"),
+    pytest.param("init_state", 5, "'init_state' must have shape (3,), got ()",
+                 id="init_state-5-init_state shape ()"),
     ("init_state", [1.0, [2.0]], "'init_state' must hold numbers only"),
-    ("reg_l1", -1.0, "'reg_l1' must be a number >= 0"),
-    ("weights", 10 ** 400, "'weights' must hold finite numbers"),
+    pytest.param("reg_l1", -1.0, "'reg_l1' must be finite and >= 0",
+                 id="reg_l1--1.0-'reg_l1' must be a number >= 0"),
+    pytest.param("weights", 10 ** 400,
+                 "'weights' holds an int beyond the float range",
+                 id=f"weights-{10 ** 400}-'weights' must hold finite numbers"),
 ])
 def test_malformed_fields_name_the_key(key, value, fragment):
     doc = model_to_dict(make_model())
@@ -157,7 +173,7 @@ def test_dimensions_are_exact_integers():
     for key, value in (("n_latent", 1.5), ("order", False), ("steps", "3")):
         doc = model_to_dict(model)
         doc[key] = value
-        with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
+        with pytest.raises(ValueError, match=f"'{key}' must be an int >= "):
             model_from_dict(doc)
 
 

@@ -438,10 +438,16 @@ def test_every_array_argument_follows_one_rule(data):
             call(np.full(shape, 0.5))
             at = data.draw(st.tuples(*[st.integers(0, n - 1) for n in shape]),
                            label=name)
-            bad = data.draw(st.sampled_from(NOT_FINITE), label=name)
-            value = np.full(shape, 0.5)
+            # an int beyond the float range is not finite either; numpy
+            # refuses the whole array, so the message names no place
+            bad = data.draw(st.sampled_from(NOT_FINITE + [10 ** 400]),
+                            label=name)
+            value = np.full(shape, 0.5,
+                            dtype=object if isinstance(bad, int) else float)
             value[at] = bad
-            text = f"{name} holds the non-finite value {bad} at {place(at)}"
+            text = (f"{name} holds an int beyond the float range"
+                    if isinstance(bad, int) else
+                    f"{name} holds the non-finite value {bad} at {place(at)}")
             with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
                 call(value)
             if wrong:
