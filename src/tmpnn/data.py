@@ -223,8 +223,8 @@ def load_csv(path, target_columns) -> Dataset:
             (an int or a numpy integer) meaning "the last n columns".
 
     Raises:
-        ValueError: parse errors as load_table, a bad count, or an
-            unknown target name (the error lists the available names).
+        ValueError: parse errors as load_table, a bad count, or a target
+            name given twice or unknown (the error lists the names).
     """
     names, rows = load_table(path)
     width = len(names)
@@ -241,6 +241,8 @@ def load_csv(path, target_columns) -> Dataset:
             if name not in names:
                 raise ValueError(f"unknown target column {name!r}; available: "
                                  f"{', '.join(names)}")
+            if target_names.count(name) > 1:
+                raise ValueError(f"target column {name!r} is named twice")
     t_idx = [names.index(n) for n in target_names]
     f_idx = [i for i in range(width) if i not in t_idx]
     return Dataset(rows[:, f_idx], rows[:, t_idx],

@@ -268,50 +268,60 @@ def _leading(buf: np.ndarray, *shape: int) -> np.ndarray:
     return buf[:math.prod(shape)].reshape(shape)
 
 
+def _feature_major(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """States as every batched pass keeps them, feature-major: a flat
+    buffer's leading (..., dim, rows) block as a (..., rows, dim) view, so
+    the gather, the phi @ delta product and the scaling run along rows."""
+    *lead, rows, dim = shape
+    return _leading(buf, *lead, dim, rows).swapaxes(-1, -2)
+
+
 def _forward_states(model: TmpnnModel, Z0: np.ndarray,
                     out: np.ndarray | None = None, phis=None,
                     first_row: int = 0) -> list[np.ndarray]:
-    """Run the p map applications on a batch of start states.
+    """Run the p map applications on a batch of (N, dim) start states.
 
-    Returns the list of p+1 (N, dim) states, Z0 first; the other p are
-    views of out, a (p, N, dim) buffer, when given.  phis[t] is the
-    (size, N) buffer that receives the monomial matrix of states[t]; when
-    phis is omitted, one fresh buffer serves every step.  Callers run
-    this in an errstate scope that ignores overflow and invalid values.
+    State t+1 goes into out[t % len(out)], two or more (N, dim) buffers,
+    and the monomial matrix of state t into phis[t % len(phis)], (size, N)
+    buffers.  By default out holds all p states and one fresh buffer
+    serves every step's phis.  Returns [Z0, *out], the trajectory, when
+    out holds all p states, and [Z0, final state] otherwise.
 
     Only the final state is checked: a non-finite entry stays non-finite
     under Z + phi @ delta, so that one test finds every pass that
-    diverges.  Only a diverged pass scans its states, for the first map
-    application that made an entry non-finite, and raises DivergenceError
-    with that step, the first row non-finite after it (plus first_row,
-    for a batch that is a block of a larger input) and a copy of that
-    row's input state.
+    diverges.  A diverged pass runs again into the same buffers, checked
+    after each application, and raises DivergenceError with the first
+    step to make an entry non-finite, its first non-finite row (plus
+    first_row, when the batch is a block of a larger input) and a copy of
+    that row's input state.
     """
-    delta = model.map.delta
-    basis = model.basis
+    delta, basis, p = model.map.delta, model.basis, model.steps
     if out is None:
-        out = np.empty((model.steps,) + Z0.shape)
+        out = _feature_major(np.empty(p * Z0.size), p, *Z0.shape)
     if phis is None:
-        phis = [np.empty((basis.size, Z0.shape[0]))] * model.steps
-    states = [Z0]
-    for t in range(model.steps):
-        phi = eval_monomials_batch(basis, states[t], phis[t])
-        Z = np.matmul(phi, delta, out=out[t])
-        Z += states[t]
-        states.append(Z)
-    if np.isfinite(states[-1]).all():
-        return states
-    step = next(t for t in range(1, len(states))
-                if not np.isfinite(states[t]).all())
-    row = int(np.flatnonzero(~np.isfinite(states[step]).all(axis=1))[0])
-    raise DivergenceError(
-        f"state became non-finite at map application {step} "
-        f"(batch row {first_row + row})", step=step,
-        row=first_row + row, state=states[step - 1][row].copy())
+        phis = [np.empty((basis.size, Z0.shape[0]))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for check in (False, True):
+            Z = Z0
+            for t in range(p):
+                phi = eval_monomials_batch(basis, Z, phis[t % len(phis)])
+                after = np.matmul(phi, delta, out=out[t % len(out)])
+                after += Z
+                if check and not np.isfinite(after).all():
+                    # C methods keep a one-row predict off fromnumeric
+                    row = int(np.isfinite(after).all(axis=1).argmin())
+                    raise DivergenceError(
+                        f"state became non-finite at map application {t + 1} "
+                        f"(batch row {first_row + row})", step=t + 1,
+                        row=first_row + row, state=Z[row].copy())
+                Z = after
+            if check or np.isfinite(Z).all():
+                return [Z0, *out] if len(out) == p else [Z0, Z]
 
 
 def forward(model: TmpnnModel, x) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Predict one sample and return the full state trajectory.
+    """Predict one sample and return its trajectory: the one forward
+    pass that keeps all p states.
 
     Args:
         model: the regressor.
@@ -329,8 +339,7 @@ def forward(model: TmpnnModel, x) -> tuple[np.ndarray, list[np.ndarray]]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("forward takes a single feature vector")
-    with np.errstate(over="ignore", invalid="ignore"):
-        states = _forward_states(model, model.initial_state(x[None, :]))
+    states = _forward_states(model, model.initial_state(x[None, :]))
     n, m = model.n_features, model.n_targets
     prediction = states[-1][0, n:n + m].copy()
     return prediction, [s[0] for s in states]
@@ -342,26 +351,26 @@ def predict(model: TmpnnModel, X) -> np.ndarray:
     X is checked whole first (see TmpnnModel.initial_state), so bad input
     fails before any map application.  The rows then run through the p
     map applications in consecutive, evenly split blocks whose monomial
-    matrix fits a fixed budget of about 512 KiB; each block's start
-    states are built and scaled in a buffer of its own.  Besides a
-    float64 view of X (a copy only when X is not one already) and the
-    result, predict holds one boolean finiteness mask of X, during the
-    check, and one block's buffers, whatever N is.  No block is a single
-    row unless N == 1, so each row's prediction is the one a single pass
-    over all rows gives, to the last bit for bases within one BLAS block
-    of the phi @ delta sum (a few hundred monomials; wider ones may round
-    the last bits by row count, in one pass as in blocks).
+    matrix fits a fixed budget of about 512 KiB.  Besides a float64 view
+    of X (a copy only when X is not one already) and the result, predict
+    holds a boolean finiteness mask of X, during the check, and, whatever
+    N and p are, a block's start states, the pair its p states alternate
+    in, and one monomial matrix that serves every step.  No block is a
+    single row unless N == 1, so each row's prediction is the one a single
+    pass over all rows gives, to the last bit for bases within one BLAS
+    block of the phi @ delta sum (a few hundred monomials; wider ones may
+    round the last bits by row count, in one pass as in blocks).
 
     Raises ValueError on bad input (see TmpnnModel.initial_state), and
     DivergenceError, carrying step, row and state, when a row overflows.
     When rows in several blocks overflow, the error is the first block's
     (in row order): its earliest overflowing step, and the first row of
-    that block to overflow there; row is the index into X.  A block is
-    checked once, after its last map application (see _forward_states),
-    which reports the same error as a check after every application.
+    that block to overflow there; row is the index into X.  A diverged
+    block runs once more, checked after each map application (see
+    _forward_states).
     """
     X = model._checked_features(X)
-    n, m = model.n_features, model.n_targets
+    n, m, dim = model.n_features, model.n_targets, model.dim
     size = model.basis.size
     N = X.shape[0]
     out = np.empty((N, m))
@@ -369,25 +378,17 @@ def predict(model: TmpnnModel, X) -> np.ndarray:
     n_blocks = max(1, -(-N // _block_rows(model.basis)))
     bounds = [N * i // n_blocks for i in range(n_blocks + 1)]
     longest = -(-N // n_blocks)
-    # feature-major: the states are (rows, dim) views of (dim, rows)
-    # buffers, so the monomial gather reads, and the phi @ delta product
-    # and the scaling write, contiguous rows of them
-    z0 = np.empty((model.dim, longest))
-    after = np.empty((model.steps, model.dim, longest))
+    # a block's start states, then the pair its p states alternate in
+    buf = np.empty(3 * dim * longest)
     phi = np.empty(size * longest)
     for start, stop in zip(bounds, bounds[1:]):
         rows = stop - start
-        starts = z0[:, :rows].T
-        # scaling is outside the scope: an overflow there warns, as in
-        # initial_state
-        model._fill_states(X[start:stop], starts)
-        # predict keeps no monomial matrix: one buffer serves every step
-        phis = [_leading(phi, size, rows)] * model.steps
-        with np.errstate(over="ignore", invalid="ignore"):
-            states = _forward_states(model, starts,
-                                     after[:, :, :rows].transpose(0, 2, 1),
-                                     phis, first_row=start)
-        out[start:stop] = states[-1][:, n:n + m]
+        states = _feature_major(buf, 3, rows, dim)
+        model._fill_states(X[start:stop], states[0])
+        final = _forward_states(model, states[0], states[1:],
+                                [_leading(phi, size, rows)],
+                                first_row=start)[-1]
+        out[start:stop] = final[:, n:n + m]
     return out
 
 
@@ -395,16 +396,16 @@ class _Workspace:
     """The arrays of a training step on up to rows rows.
 
     fit() allocates one per call, so its steps fault no fresh pages in;
-    a shorter batch uses leading views.  It holds the start states and
-    the p after them, the p monomial matrices the backward pass reads,
-    the layer Jacobians, the targets, and the Jacobian coefficient
-    table C with the column of factors its gathered rows are scaled by.
+    a shorter batch uses leading views.  It holds the start states, then
+    the pair the p states alternate in (see _feature_major), the p
+    monomial matrices the backward pass reads, the layer Jacobians, the
+    targets, and the Jacobian coefficient table C with the column of
+    factors its gathered rows are scaled by.
     """
 
     def __init__(self, model: TmpnnModel, rows: int):
         basis, dim = model.basis, model.dim
-        self.z0 = np.empty((rows, dim))
-        self.states = np.empty((model.steps, rows, dim))
+        self.states = np.empty(3 * dim * rows)
         self.phis = np.empty(model.steps * basis.size * rows)
         self.jac = np.empty((rows, dim * dim))
         self.Y = np.empty((rows, model.n_targets))
@@ -415,19 +416,17 @@ class _Workspace:
 
 
 def _step(model: TmpnnModel, ws: _Workspace, rows: int):
-    """loss_and_gradient of the batch whose start states and targets are
-    the first rows of ws.z0 and ws.Y."""
+    """loss_and_gradient of the batch whose start states lead ws.states
+    and whose targets lead ws.Y."""
     n, m, dim = model.n_features, model.n_targets, model.dim
     basis = model.basis
     delta = model.map.delta
     phis = _leading(ws.phis, model.steps, basis.size, rows)
-    # overflow surfaces as a DivergenceError, from the forward pass or from
-    # the loss and gradient check at the end
+    states = _feature_major(ws.states, 3, rows, dim)
+    final = _forward_states(model, states[0], states[1:], phis)[-1]
+    # an overflowing loss or gradient fails the check at the end
     with np.errstate(over="ignore", invalid="ignore"):
-        states = _forward_states(model, ws.z0[:rows], ws.states[:, :rows],
-                                 phis)
-
-        resid = states[-1][:, n:n + m] - ws.Y[:rows]
+        resid = final[:, n:n + m] - ws.Y[:rows]
         loss = float(np.mean(resid ** 2))
 
         G = np.zeros((rows, dim))
@@ -493,7 +492,8 @@ def loss_and_gradient(model: TmpnnModel, batch: Dataset):
     """
     _check_width(model, batch, "batch")
     ws = _Workspace(model, batch.n_samples)
-    ws.z0[:] = model.initial_state(batch.X)
+    model._fill_states(model._checked_features(batch.X),
+                       _feature_major(ws.states, batch.n_samples, model.dim))
     ws.Y[:] = batch.Y
     return _step(model, ws, batch.n_samples)
 
@@ -546,8 +546,9 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
 
     if model.standardize and model.scaler is None:
         model.scaler = Scaler.fit(train.X)
-    # checked and scaled once; the init_state slots are rewritten per step
-    Z0 = model.initial_state(train.X)
+    # checked and scaled once, feature-major; init slots are set per step
+    Z0 = np.empty((model.dim, train.n_samples))
+    model._fill_states(model._checked_features(train.X), Z0.T)
 
     n_rows = train.n_samples
     batch = n_rows if config.batch_size == "full" else min(int(config.batch_size), n_rows)
@@ -565,8 +566,8 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
         losses = []
         for start in range(0, n_rows, batch):
             idx = perm[start:start + batch]
-            z0 = ws.z0[:len(idx)]
-            np.take(Z0, idx, axis=0, out=z0)
+            z0 = _feature_major(ws.states, len(idx), model.dim)
+            np.take(Z0, idx, axis=1, out=z0.T)
             # init_trainable moves the start slots between steps
             z0[:, model.n_features:] = model.init_state
             np.take(train.Y, idx, axis=0, out=ws.Y[:len(idx)])

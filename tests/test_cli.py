@@ -272,6 +272,14 @@ def test_evaluate_matches_targets_by_name(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "missing y2" in err and "unexpected z" in err
 
+    # a target named twice used to train a model of two targets named y1
+    twice = tmp_path / "twice.json"
+    assert run("train", "--data", data, "--targets", "y1,y1",
+               "--out", twice) == 1
+    assert capsys.readouterr().err == (
+        "error: target column 'y1' is named twice\n")
+    assert not twice.exists()
+
 
 def test_inspect_ode_renders_equations(trained, capsys):
     model_path, _ = trained

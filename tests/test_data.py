@@ -224,6 +224,9 @@ def test_load_csv_trailing_count_and_named_targets(tmp_path):
 
     with pytest.raises(ValueError, match="available"):
         load_csv(path, ["nope"])
+    # a name given twice used to make a Y of two equal columns
+    with pytest.raises(ValueError, match="target column 'y1' is named twice"):
+        load_csv(path, ["y1", "a", "y1"])
     with pytest.raises(ValueError):
         load_csv(path, 4)
     with pytest.raises(ValueError):

@@ -59,6 +59,9 @@ def test_monomial_evaluation_and_predict_enter_no_wrapper(model):
         "eval": lambda: eval_monomials_batch(basis, Z),
         "one-row predict": lambda: predict(model, X[:1]),
         "multi-block predict": lambda: predict(model, X),
+        # overflows at map application 3, so the re-run checks each step
+        "diverging one-row predict": lambda: pytest.raises(
+            DivergenceError, predict, model, np.full((1, 3), 1e30)),
     }
     for name, call in calls.items():
         assert fromnumeric_entries(call) == [], name

@@ -132,6 +132,20 @@ def test_predict_memory_is_bounded_by_the_block_budget():
     assert transient < 2 * 2 ** 20
 
 
+def test_predict_memory_does_not_grow_with_steps():
+    # a block used to keep all p states for the divergence scan: 50 MB
+    # at 2000 steps here against 0.7 MB at 5; two buffers serve any p
+    rng = np.random.default_rng(26)
+    model = TmpnnModel.create(5, 1, order=3, steps=5)
+    # weights near zero keep 2000 steps finite
+    model.map.delta = rng.normal(0.0, 1e-6, model.map.delta.shape)
+    X = rng.uniform(-1.0, 1.0, size=(2 * _block_rows(model.basis) + 1, 5))
+    model.scaler = Scaler.fit(X)
+    few = _traced_predict_peak(model, X)
+    many = _traced_predict_peak(replace(model, steps=2000), X)
+    assert abs(many - few) <= 16 * 2 ** 10
+
+
 def test_identity_zero_targets_zero_loss_and_gradient():
     model = TmpnnModel.create(2, 1, order=2, steps=3, standardize=False)
     data = Dataset(np.random.default_rng(0).normal(size=(8, 2)),

@@ -1,7 +1,8 @@
 """Property tests of the exact round trips: JSON save/load, ODE
 extract/rebuild and raise-order at step doublings over random model
 shapes, CSV save/load over random tables, and table parsing against a
-per-cell float() reference; of the model-file boundary under mutated
+per-cell float() reference; of the divergence errors of the forward
+passes against a plain loop; of the model-file boundary under mutated
 documents; and of the one rule for numeric and array arguments."""
 
 import json
@@ -14,18 +15,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, note, settings
+from hypothesis import assume, given, note, settings
 from hypothesis import strategies as st
 
 import tmpnn.data
+import tmpnn.model
 from tmpnn import (AdamaxState, Dataset, DivergenceError, OdeSystem, Scaler,
                    TaylorMapWeights, TmpnnModel, TrainConfig, adamax_step,
-                   build_basis, extract_ode, gen_friedman1, gen_noisy_linear,
-                   identity_weights, integrate_reference, load_csv,
-                   load_model, load_table, model_from_dict, model_to_dict,
-                   predict, raise_order, rebuild_map, render_ode,
-                   rescale_time, save_csv, save_model, split_quantile,
-                   split_random)
+                   build_basis, extract_ode, forward, gen_friedman1,
+                   gen_noisy_linear, identity_weights, integrate_reference,
+                   load_csv, load_model, load_table, loss_and_gradient,
+                   model_from_dict, model_to_dict, predict, raise_order,
+                   rebuild_map, render_ode, rescale_time, save_csv,
+                   save_model, split_quantile, split_random)
+from tmpnn.basis import eval_monomials_batch
 
 # (n, m, l, k, p) with the weights, init state and scaler drawn from a seed
 shapes = st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2),
@@ -188,6 +191,74 @@ def test_raise_order_at_doublings_keeps_the_ode(shape, doublings):
     np.testing.assert_array_equal(extract_ode(raised).A, extract_ode(model).A)
     np.testing.assert_array_equal(raised.init_state, model.init_state)
     assert raised.order == model.order
+
+
+def plain_overflow(model, Z0):
+    """(step, row, state bytes) where a plain loop over the rows Z0,
+    checked after every map application, first goes non-finite; None
+    when it stays finite."""
+    Z = Z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(model.steps):
+            after = Z + eval_monomials_batch(model.basis, Z) @ model.map.delta
+            bad = ~np.isfinite(after).all(axis=1)
+            if bad.any():
+                row = int(np.flatnonzero(bad)[0])
+                return t + 1, row, Z[row].tobytes()
+            Z = after
+    return None
+
+
+def raised_at(err):
+    return err.step, err.row, err.state.tobytes()
+
+
+@bounded
+@given(st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2),
+                 st.integers(1, 3), st.integers(3, 8),
+                 st.integers(0, 2 ** 32 - 1)))
+def test_a_diverged_pass_raises_the_error_of_a_checked_loop(shape):
+    # a pass is checked once, at its end; a diverged one runs again into
+    # its buffers, checked per step.  The weights are scaled so the first
+    # overflow comes past step 2, after the pair of state buffers wrapped
+    model, rng = random_model(*shape)
+    N = 40
+    X = rng.uniform(-1.0, 1.0, size=(N, model.n_features))
+    Y = rng.normal(size=(N, model.n_targets))
+    Z0 = model.initial_state(X)
+    base = model.map.delta
+    found = {}
+    for e in range(0, 308, 4):
+        model.map.delta = base * 10.0 ** e
+        hit = plain_overflow(model, Z0)
+        if hit is not None and hit[0] >= 3:
+            found[e] = hit
+    assume(found)
+    e = sorted(found)[int(rng.integers(len(found)))]
+    model.map.delta = base * 10.0 ** e
+    note(f"weights scaled by 1e{e}")
+
+    with pytest.raises(DivergenceError) as err:
+        loss_and_gradient(model, Dataset(X, Y, list("abc")[:X.shape[1]],
+                                         list("yz")[:Y.shape[1]]))
+    assert raised_at(err.value) == found[e]
+
+    _, row, _ = found[e]
+    with pytest.raises(DivergenceError) as err:
+        forward(model, X[row])
+    assert raised_at(err.value) == plain_overflow(model, Z0[[row]])
+
+    # three blocks of 13, 13 and 14 rows; the first to overflow is named
+    with mock.patch.object(tmpnn.model, "_PHI_BLOCK_BYTES", 0):
+        with pytest.raises(DivergenceError) as err:
+            predict(model, X)
+    bounds = [N * i // 3 for i in range(4)]
+    for start, stop in zip(bounds, bounds[1:]):
+        hit = plain_overflow(model, Z0[start:stop])
+        if hit is not None:
+            break
+    step, row, state = hit
+    assert raised_at(err.value) == (step, start + row, state)
 
 
 def _is_number(text):
