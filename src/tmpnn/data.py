@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import numbers
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,20 +131,22 @@ def load_table(path) -> tuple[list[str], np.ndarray]:
 
     The delimiter is semicolon, comma, or whitespace, whichever the first
     line uses.  A first row with non-numeric cells becomes the column
-    names; otherwise columns are named c1, c2, ...  Blank lines are
-    skipped and cells may be padded with blanks.  The lines are read a
-    block at a time, so beyond the result only one block's text is held,
-    and each block is parsed by numpy's C reader, which rounds as float()
-    does.  A block it refuses is read cell by cell with float(), which
-    also reads the spellings numpy does not (1_000, non-ASCII digits).
+    names, which must be distinct; otherwise columns are named c1, c2, ...
+    Blank lines are skipped and cells may be padded with blanks.  The
+    lines are read a block at a time, so beyond the result only one
+    block's text is held, and each block is parsed by numpy's C reader,
+    which rounds as float() does.  A block it refuses is read cell by cell
+    with float(), which also reads the spellings numpy does not (1_000,
+    non-ASCII digits).
 
     Returns:
         (names, values) with values of shape (rows, columns).
 
     Raises:
-        ValueError: empty table, ragged row, missing value, non-numeric
-            cell, or a nan or infinite value (with the 1-based data row,
-            counted without the header and blank lines, and the column).
+        ValueError: a repeated name, empty table, ragged row, missing
+            value, non-numeric cell, or a nan or infinite value (with the
+            1-based data row, counted without the header and blank lines,
+            and the column).
     """
     def numeric(cells: list[str]) -> bool:
         try:
@@ -163,6 +167,7 @@ def load_table(path) -> tuple[list[str], np.ndarray]:
             lines = itertools.chain([head], lines)
         else:
             names = first
+            _columns(names, names, f"{path}: column")
         blocks = []
         n_rows = 0
         while block := list(itertools.islice(lines, _BLOCK_ROWS)):
@@ -211,11 +216,26 @@ def _parse_block_by_cell(path, block: list[str], delim: str | None,
     return out
 
 
+def _columns(names: list[str], wanted: list[str], what: str) -> list[int]:
+    """The index in names of each wanted name; a ValueError about the
+    first wanted name (a `what`) that names lacks or wanted repeats."""
+    index = {name: i for i, name in reversed(list(enumerate(names)))}
+    found = [index.get(n) if isinstance(n, Hashable) else None for n in wanted]
+    counts = collections.Counter(found)
+    for name, i in zip(wanted, found):
+        if i is None:
+            raise ValueError(f"unknown {what} {name!r}; available: "
+                             f"{', '.join(names)}")
+        if counts[i] > 1:
+            raise ValueError(f"{what} {name!r} is named twice")
+    return found
+
+
 def load_csv(path, target_columns) -> Dataset:
     """Load a numeric table, designating some columns as targets.
 
-    Parsing as load_table.  Column order is preserved: target columns
-    become Y, the rest X.
+    Parsing as load_table, so column names are distinct.  Column order is
+    preserved: target columns become Y, the rest X.
 
     Args:
         path: file to read.
@@ -237,13 +257,7 @@ def load_csv(path, target_columns) -> Dataset:
     else:
         target_names = ([target_columns] if isinstance(target_columns, str)
                         else list(target_columns))
-        for name in target_names:
-            if name not in names:
-                raise ValueError(f"unknown target column {name!r}; available: "
-                                 f"{', '.join(names)}")
-            if target_names.count(name) > 1:
-                raise ValueError(f"target column {name!r} is named twice")
-    t_idx = [names.index(n) for n in target_names]
+    t_idx = _columns(names, target_names, "target column")
     f_idx = [i for i in range(width) if i not in t_idx]
     return Dataset(rows[:, f_idx], rows[:, t_idx],
                    [names[i] for i in f_idx], target_names)
@@ -292,14 +306,10 @@ def split_quantile(dataset: Dataset, column: str,
     can be run against either side of the mapping.
     """
     _check_real("quantile", quantile, 0, 1, strict=True)
-    if column in dataset.feature_names:
-        values = dataset.X[:, dataset.feature_names.index(column)]
-    elif column in dataset.target_names:
-        values = dataset.Y[:, dataset.target_names.index(column)]
-    else:
-        names = list(dataset.feature_names) + list(dataset.target_names)
-        raise ValueError(f"unknown column {column!r}; available: "
-                         f"{', '.join(names)}")
+    [j] = _columns(list(dataset.feature_names) + list(dataset.target_names),
+                   [column], "column")
+    n = dataset.n_features
+    values = dataset.X[:, j] if j < n else dataset.Y[:, j - n]
     threshold = np.quantile(values, quantile)
     test_mask = values > threshold
     if test_mask.all() or not test_mask.any():

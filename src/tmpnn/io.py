@@ -190,13 +190,13 @@ def _flag(doc: dict, key: str, default: bool) -> bool:
 
 
 def _names(doc: dict, key: str, count: int):
-    """doc[key]: null (the default) or a list of count strings."""
+    """doc[key]: null (the default) or a list of count distinct strings."""
     value = doc.get(key)
     if value is not None and not (
-            isinstance(value, list) and len(value) == count
-            and all(isinstance(name, str) for name in value)):
+            isinstance(value, list) and all(isinstance(n, str) for n in value)
+            and len(set(value)) == len(value) == count):
         raise ValueError(f"model file key {key!r} must be null or a list "
-                         f"of {count} strings")
+                         f"of {count} distinct strings")
     return value
 
 

@@ -336,10 +336,9 @@ def forward(model: TmpnnModel, x) -> tuple[np.ndarray, list[np.ndarray]]:
         ValueError: on a wrong length or a non-finite feature.
         DivergenceError: if the trajectory overflows; carries the step.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
+    if np.asarray(x).ndim != 1:  # initial_state converts, and names a huge int
         raise ValueError("forward takes a single feature vector")
-    states = _forward_states(model, model.initial_state(x[None, :]))
+    states = _forward_states(model, model.initial_state(x))
     n, m = model.n_features, model.n_targets
     prediction = states[-1][0, n:n + m].copy()
     return prediction, [s[0] for s in states]

@@ -60,31 +60,6 @@ class OdeSystem:
         return self.basis.order
 
 
-def _closest_quotient(a: np.ndarray, divisor: float) -> np.ndarray:
-    """Per entry, the double x minimizing |x * divisor - a|.
-
-    Checks the rounded quotient and its four nearest neighbors, preferring
-    an exact product.  Whenever a is itself a rounded multiple of divisor,
-    an exact preimage exists in that neighborhood, so the result satisfies
-    x * divisor == a; other targets (possible after changing the divisor)
-    get the best achievable product, within one spacing of a.
-    """
-    x = a / divisor
-    best = x.copy()
-    err = np.abs(best * divisor - a)
-    up = x.copy()
-    down = x.copy()
-    for _ in range(2):
-        up = np.nextafter(up, np.inf)
-        down = np.nextafter(down, -np.inf)
-        for cand in (up, down):
-            e = np.abs(cand * divisor - a)
-            better = e < err
-            best = np.where(better, cand, best)
-            err = np.where(better, e, err)
-    return best
-
-
 def extract_ode(model: TmpnnModel) -> OdeSystem:
     """The polynomial system whose Euler discretization is the model.
 
@@ -106,8 +81,10 @@ def rebuild_map(ode: OdeSystem, steps: int) -> TaylorMapWeights:
 
     W_q = A_q / steps for q != 1 and W1 = I + A1 / steps.  At the source
     map's step count times a power of two, its weights are divided exactly
-    (at the same count, this inverts extract_ode bit for bit); otherwise
-    steps * result equals A wherever a preimage exists (_closest_quotient).
+    (at the same count, this inverts extract_ode bit for bit).  Elsewhere
+    an entry is A / steps or its neighbour, whichever has the product with
+    steps that rounds nearer A (49 * (1 / 49) is 1 - 2**-53), so steps *
+    result is A wherever a preimage exists, and finite next to float max.
     """
     _check_int("steps", steps, 1)
     if ode._source is not None:
@@ -115,8 +92,12 @@ def rebuild_map(ode: OdeSystem, steps: int) -> TaylorMapWeights:
         ratio = steps // source_steps if steps % source_steps == 0 else 0
         if ratio and (ratio & (ratio - 1)) == 0:
             return TaylorMapWeights(basis=ode.basis, delta=delta / ratio)
-    return TaylorMapWeights(basis=ode.basis,
-                            delta=_closest_quotient(ode.A, float(steps)))
+    A, delta = ode.A, ode.A / steps
+    with np.errstate(over="ignore"):
+        other = np.nextafter(delta, np.where(steps * delta < A, np.inf, -np.inf))
+        nearer = np.abs(steps * other - A) < np.abs(steps * delta - A)
+    delta = np.where(nearer, other, delta)
+    return TaylorMapWeights(basis=ode.basis, delta=delta)
 
 
 def raise_order(model: TmpnnModel, new_steps: int) -> TmpnnModel:

@@ -70,8 +70,7 @@ class TaylorMapWeights:
     @classmethod
     def from_matrix(cls, basis: MonomialBasis, w: np.ndarray) -> "TaylorMapWeights":
         """Build from a literal coefficient matrix W."""
-        w = np.asarray(w, dtype=np.float64)
-        delta = w.copy()
+        delta = _check_finite("w", w, (basis.size, basis.dim)).copy()
         rows = _degree1_indices(basis)
         delta[rows, np.arange(basis.dim)] -= 1.0
         return cls(basis=basis, delta=delta)

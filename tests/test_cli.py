@@ -146,6 +146,29 @@ def test_predict_matches_columns_by_header(tmp_path):
     assert outputs["headerless"].read_bytes() == expected
 
 
+def test_a_header_that_names_a_column_twice_is_one_error_line(tmp_path,
+                                                             capsys):
+    # both used to exit 0: train saved a model with feature_names a and a,
+    # and predict matched the columns of a model without names by position
+    rows = np.random.default_rng(5).uniform(size=(60, 3))
+    data = tmp_path / "aay.csv"
+    _write_features(data, ["a", "a", "y"], rows)
+    model_path = tmp_path / "m.json"
+    assert run("train", "--data", data, "--targets", "y", "--epochs", 2,
+               "--out", model_path) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: column 'a' is named twice\n")
+    assert not model_path.exists()
+
+    save_model(TmpnnModel.create(2, 1, order=2, steps=2), model_path)
+    features = tmp_path / "aa.csv"
+    _write_features(features, ["a", "a"], rows[:, :2])
+    assert run("predict", "--model", model_path, "--data", features) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {features}: column 'a' is named twice\n"
+
+
 def test_predict_writes_the_rows_of_in_process_predict_exactly(tmp_path,
                                                               capsys):
     # 3 targets and more rows than one output block
@@ -435,6 +458,21 @@ def test_raise_order_to_no_more_steps_names_the_flag(trained, tmp_path,
     assert not out_path.exists()
 
 
+def test_raise_order_next_to_the_float_maximum_is_quiet(tmp_path, capsys):
+    # a weight of max / 5 at 5 steps is the ODE coefficient max; at 7 steps
+    # the rebuild used to warn "overflow encountered in multiply" twice
+    model = TmpnnModel.create(1, 1, order=1, steps=5, standardize=False)
+    model.map.delta[1, 1] = np.finfo(float).max / 5
+    model_path, out_path = tmp_path / "m.json", tmp_path / "raised.json"
+    save_model(model, model_path)
+    assert run("raise-order", "--model", model_path, "--steps", 7,
+               "--out", out_path) == 0
+    assert capsys.readouterr().err == ""
+    raised, _ = load_model(out_path)
+    # no double times 7 is the maximum; the one below it is the nearest
+    assert 7 * raised.map.delta[1, 1] == np.nextafter(np.finfo(float).max, 0)
+
+
 def test_console_script_runs():
     proc = subprocess.run([sys.executable, "-m", "tmpnn.cli", "--help"],
                           capture_output=True, text=True)
@@ -470,6 +508,8 @@ def test_console_script_runs():
     ("init_state", {"a": 1}, "'init_state' must hold numbers only"),
     pytest.param("reg_l1", [1], "'reg_l1' must be finite",
                  id="reg_l1-value11-'reg_l1' must be a number"),
+    ("feature_names", ["x", "x"],
+     "'feature_names' must be null or a list of 1 distinct strings"),
 ])
 def test_malformed_model_file_is_one_error_line(tmp_path, trained, capsys,
                                                 key, value, fragment):

@@ -149,6 +149,9 @@ def test_dimension_validation(mutate, fragment):
     pytest.param("weights", 10 ** 400,
                  "'weights' holds an int beyond the float range",
                  id=f"weights-{10 ** 400}-'weights' must hold finite numbers"),
+    # a repeated name used to load, so two columns claimed one name
+    ("feature_names", ["a", "a"],
+     "'feature_names' must be null or a list of 2 distinct strings"),
 ])
 def test_malformed_fields_name_the_key(key, value, fragment):
     doc = model_to_dict(make_model())

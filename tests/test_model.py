@@ -455,6 +455,10 @@ def test_non_finite_input_is_a_value_error_naming_row_and_column():
         predict(model, X)
     with pytest.raises(ValueError, match="row 0, column 2"):
         forward(model, [0.0, 1.0, -np.inf])
+    # forward's own float conversion used to raise numpy's OverflowError
+    with pytest.raises(ValueError,
+                       match="^X holds an int beyond the float range$"):
+        forward(model, [0.0, 1.0, 10 ** 400])
     # a 3-D array whose second axis has the width used to pass the width
     # check and fail in numpy's broadcasting
     with pytest.raises(ValueError, match=r"2-D table.*shape \(4, 3, 1\)"):

@@ -68,6 +68,32 @@ def test_rebuild_at_other_step_counts_stays_within_one_spacing():
             np.abs(recovered - A) <= np.spacing(np.abs(A)), True)
 
 
+def test_rebuild_where_the_quotient_misses_a_power_of_two():
+    # 49 * (1 / 49) rounds to 1 - 2**-53, but the quotient's neighbour
+    # above has the product 1.0, and so has every 2**e
+    basis = build_basis(1, 1)
+    for power in (1.0, 2.0 ** -40, -(2.0 ** 60)):
+        A = np.array([[0.0], [power]])
+        rebuilt = rebuild_map(OdeSystem(basis=basis, A=A), 49)
+        np.testing.assert_array_equal(49 * rebuilt.delta, A)
+        assert 49 * (power / 49) != power
+
+
+@pytest.mark.parametrize("steps", [3, 5, 7])
+def test_rebuild_next_to_the_float_maximum_is_quiet(steps):
+    # the product steps * (A / steps) can overflow here; the search that
+    # looked past it warned "overflow encountered in multiply" twice
+    biggest = np.finfo(float).max
+    A = np.array([[0.0, biggest], [-biggest, 1.0], [biggest, -biggest]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rebuilt = rebuild_map(OdeSystem(basis=build_basis(2, 1), A=A), steps)
+        product = steps * rebuilt.delta
+    # A itself, or where no double has the product A, its neighbour
+    np.testing.assert_array_equal(
+        (product == A) | (product == np.nextafter(A, 0.0)), True)
+
+
 def test_raise_order_identity_fixed_point():
     model = TmpnnModel.create(2, 1, order=3, steps=4)
     for new_steps in (5, 8, 13):

@@ -193,6 +193,30 @@ def test_raise_order_at_doublings_keeps_the_ode(shape, doublings):
     assert raised.order == model.order
 
 
+@bounded
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(3, 10 ** 6),
+       st.data())
+def test_rebuild_recovers_every_rounded_multiple(dim, order, steps, data):
+    # A = steps * delta has a preimage, so steps * rebuild.delta is A;
+    # entries next to 2**e / steps make A a power of two, where the
+    # product of the quotient A / steps can round off A
+    basis = build_basis(dim, order)
+    bound = np.finfo(float).max / steps
+    near_power = st.builds(lambda e, to: np.nextafter(2.0 ** e / steps, to),
+                           st.integers(-1000, 1000),
+                           st.sampled_from([-np.inf, np.inf]))
+    delta = np.array(data.draw(st.lists(st.floats(-bound, bound) | near_power,
+                                        min_size=basis.size * dim,
+                                        max_size=basis.size * dim)))
+    with np.errstate(over="ignore"):
+        A = (steps * delta).reshape(basis.size, dim)
+    assume(np.isfinite(A).all())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rebuilt = rebuild_map(OdeSystem(basis=basis, A=A), steps)
+    np.testing.assert_array_equal(steps * rebuilt.delta, A)
+
+
 def plain_overflow(model, Z0):
     """(step, row, state bytes) where a plain loop over the rows Z0,
     checked after every map application, first goes non-finite; None
@@ -320,18 +344,23 @@ blanks = st.text(" \t", max_size=3)
 
 
 @st.composite
-def text_tables(draw):
+def text_tables(draw, repeated=False):
     """(text, names, cells): the text of a table with a random delimiter,
     padding, blank lines, line ends and optional header, the names
-    load_table must return and the cell texts of its data rows."""
+    load_table must return and the cell texts of its data rows.  With
+    repeated, the table has a header in which one name is drawn twice."""
     rows = draw(st.integers(1, 12))
-    width = draw(st.integers(1, 4))
+    width = draw(st.integers(2 if repeated else 1, 4))
     delim = draw(st.sampled_from([",", ";", None]))
     cells = [[draw(number_texts) for _ in range(width)] for _ in range(rows)]
-    header = draw(st.booleans())
+    header = repeated or draw(st.booleans())
     columns = (draw(st.lists(names, min_size=width, max_size=width,
                              unique=True))
                if header else [f"c{i + 1}" for i in range(width)])
+    if repeated:
+        source, copy = draw(st.lists(st.integers(0, width - 1), min_size=2,
+                                     max_size=2, unique=True))
+        columns[copy] = columns[source]
 
     def line(items):
         if delim is None:
@@ -367,6 +396,21 @@ def test_load_table_matches_a_per_cell_float_reference(table, block_rows):
     assert got_names == names
     assert values.shape == want.shape
     assert values.tobytes() == want.tobytes()
+
+
+@bounded
+@given(text_tables(repeated=True))
+def test_load_table_rejects_a_header_that_names_a_column_twice(table):
+    # a repeated name used to be read, and then looked up as its first
+    # column wherever it was named
+    text, names, _ = table
+    twice = next(name for name in names if names.count(name) > 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ValueError) as err:
+            load_table(path)
+    assert str(err.value) == f"{path}: column {twice!r} is named twice"
 
 
 NOT_FINITE = [math.nan, math.inf, -math.inf]
@@ -479,6 +523,8 @@ ARRAYS = [
                                         init_state=v), (1,), [(2,), (1, 1)]),
     ("X", lambda v: predict(_model, v), (3, 1), []),
     ("delta", lambda v: TaylorMapWeights(basis=build_basis(2, 2), delta=v),
+     (6, 2), [(5, 2), (6, 2, 1)]),
+    ("w", lambda v: TaylorMapWeights.from_matrix(build_basis(2, 2), v),
      (6, 2), [(5, 2), (6, 2, 1)]),
     ("A", lambda v: OdeSystem(basis=build_basis(2, 2), A=v), (6, 2),
      [(6, 3), (6,)]),
