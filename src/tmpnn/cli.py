@@ -46,11 +46,14 @@ _non_negative, _fraction = (_checked(_check_real, 0),
 
 def _parse_targets(spec: str):
     """--targets: a trailing count, held to _positive, or comma-separated
-    column names."""
+    column names, at least one."""
     try:
         int(spec)
     except ValueError:
-        return [name.strip() for name in spec.split(",") if name.strip()]
+        names = [name.strip() for name in spec.split(",") if name.strip()]
+        if not names:
+            raise argparse.ArgumentTypeError(f"no column name in {spec!r}")
+        return names
     return _positive(spec)
 
 
@@ -111,17 +114,15 @@ def cmd_train(args) -> int:
                                   batch_size=args.batch,
                                   learning_rate=args.lr,
                                   shuffle_seed=args.seed)
-    report = modelmod.fit(model, train, config=config)
+    # without early_stop the test split only adds its losses to the report
+    report = modelmod.fit(model, train, test, config=config)
 
-    train_pred = modelmod.predict(model, train.X)
-    metrics = {
-        "train_mse": datamod.metric_mse(train.Y, train_pred),
-        "train_r2": datamod.metric_r2(train.Y, train_pred),
-    }
-    if test is not None:
-        test_pred = modelmod.predict(model, test.X)
-        metrics["test_mse"] = datamod.metric_mse(test.Y, test_pred)
-        metrics["test_r2"] = datamod.metric_r2(test.Y, test_pred)
+    metrics = {}
+    for split, part in (("train", train), ("test", test)):
+        if part is not None:
+            pred = modelmod.predict(model, part.X)
+            metrics[f"{split}_mse"] = datamod.metric_mse(part.Y, pred)
+            metrics[f"{split}_r2"] = datamod.metric_r2(part.Y, pred)
 
     training_meta = {
         "seed": args.seed,
@@ -150,25 +151,18 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _resolve_eval_targets(args, extras):
-    if args.targets is not None:
-        return args.targets
-    if extras.get("target_names"):
-        return list(extras["target_names"])
-    raise ValueError("the model file records no target names; pass --targets")
-
-
-def _model_columns(path, what, names, values, model, extras, headerless):
+def _model_columns(path, what, names, values, model, extras):
     """(names, values) of a file's what ("feature" or "target") columns in
     the model's order: matched by header name when the file has a header
     and the model records names, by position otherwise.  A column count
     other than the model's, or header names that do not match, is a
     ValueError; a mismatch names the missing and the unexpected ones."""
+    from . import data as datamod
     count, recorded = getattr(model, f"n_{what}s"), extras.get(f"{what}_names")
     if values.shape[1] != count:
         raise ValueError(f"data has {values.shape[1]} {what} columns but "
                          f"the model expects {count}")
-    if headerless or not recorded or names == recorded:
+    if not recorded or names == recorded or not datamod._has_header(path):
         return names, values
     missing = [n for n in recorded if n not in names]
     unexpected = [n for n in names if n not in recorded]
@@ -177,24 +171,24 @@ def _model_columns(path, what, names, values, model, extras, headerless):
                          f"({', '.join(recorded)}): missing "
                          f"{', '.join(missing) or 'none'}; unexpected "
                          f"{', '.join(unexpected) or 'none'}")
-    return recorded, values[:, [names.index(n) for n in recorded]]
+    return recorded, values[:, datamod._columns(names, recorded, what)]
 
 
 def cmd_evaluate(args) -> int:
     from . import data as datamod, io as iomod, model as modelmod
     model, extras = iomod.load_model(args.model)
-    dataset = datamod.load_csv(args.data, _resolve_eval_targets(args, extras))
+    wanted = args.targets or extras.get("target_names")
+    if not wanted:
+        raise ValueError("the model file records no target names; "
+                         "pass --targets")
+    dataset = datamod.load_csv(args.data, wanted)
     _, test = _split(args, dataset)
     if test is not None:
         dataset = test
-
-    # a file without a header has load_table's default names
-    columns = set(dataset.feature_names + dataset.target_names)
-    headerless = columns == set(datamod.default_column_names(len(columns)))
     _, X = _model_columns(args.data, "feature", dataset.feature_names,
-                          dataset.X, model, extras, headerless)
+                          dataset.X, model, extras)
     targets, Y = _model_columns(args.data, "target", dataset.target_names,
-                                dataset.Y, model, extras, headerless)
+                                dataset.Y, model, extras)
     pred = modelmod.predict(model, X)
     print(f"rows {dataset.n_samples}")
     for j, name in enumerate(targets):
@@ -210,16 +204,20 @@ def cmd_predict(args) -> int:
     from . import data as datamod, io as iomod, model as modelmod
     model, extras = iomod.load_model(args.model)
     names, X = datamod.load_table(args.data)
-    _, X = _model_columns(args.data, "feature", names, X, model, extras,
-                          names == datamod.default_column_names(len(names)))
+    _, X = _model_columns(args.data, "feature", names, X, model, extras)
     pred = modelmod.predict(model, X)
     chunks = datamod.csv_text_blocks(_target_names(model, extras), pred)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+    _write(args.out, chunks)
     return 0
+
+
+def _write(out, chunks) -> None:
+    """Write text chunks to the file out, or to stdout when out is None."""
+    if out is None:
+        sys.stdout.writelines(chunks)
+    else:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
 
 
 def _target_names(model, extras) -> list[str]:
@@ -243,11 +241,7 @@ def cmd_inspect_ode(args) -> int:
     if model.scaler is not None:
         text = ("# feature coordinates are standardized: "
                 "x_scaled = (x - mean) / scale\n" + text)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args.out, [text, "\n"])
     return 0
 
 
@@ -256,10 +250,8 @@ def cmd_raise_order(args) -> int:
     model, extras = iomod.load_model(args.model)
     _check_int("--steps", args.steps, model.steps + 1)
     raised = odeview.raise_order(model, args.steps)
-    iomod.save_model(raised, args.out,
-                     feature_names=extras.get("feature_names"),
-                     target_names=extras.get("target_names"),
-                     training=extras.get("training"))
+    # extras holds the names and the training record save_model takes
+    iomod.save_model(raised, args.out, **extras)
     print(f"steps {model.steps} -> {raised.steps}; model written to {args.out}")
     return 0
 

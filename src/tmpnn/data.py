@@ -115,9 +115,20 @@ def _split_line(line: str, delim: str | None) -> list[str]:
     return [cell.strip() for cell in line.split(delim)]
 
 
-def default_column_names(width: int) -> list[str]:
-    """The names load_table gives the columns of a file without a header."""
-    return [f"c{i + 1}" for i in range(width)]
+def _is_header(cells: list[str]) -> bool:
+    """The header rule: a line is a header when any cell is not a number."""
+    try:
+        [float(c) for c in cells]
+        return False
+    except ValueError:
+        return True
+
+
+def _has_header(path) -> bool:
+    """Whether load_table takes the first line of path for a header."""
+    with open(path, "r", encoding="utf-8") as fh:
+        head = next(filter(None, map(str.strip, fh)), "")
+    return _is_header(_split_line(head, _detect_delimiter(head)))
 
 
 # Rows parsed, or formatted, as one block: enough that the per-block
@@ -148,13 +159,6 @@ def load_table(path) -> tuple[list[str], np.ndarray]:
             1-based data row, counted without the header and blank lines,
             and the column).
     """
-    def numeric(cells: list[str]) -> bool:
-        try:
-            [float(c) for c in cells]
-            return True
-        except ValueError:
-            return False
-
     with open(path, "r", encoding="utf-8") as fh:
         lines = filter(None, map(str.strip, fh))
         head = next(lines, None)
@@ -162,12 +166,12 @@ def load_table(path) -> tuple[list[str], np.ndarray]:
             raise ValueError(f"{path}: file contains no data")
         delim = _detect_delimiter(head)
         first = _split_line(head, delim)
-        if numeric(first):
-            names = default_column_names(len(first))
-            lines = itertools.chain([head], lines)
-        else:
+        if _is_header(first):
             names = first
             _columns(names, names, f"{path}: column")
+        else:
+            names = [f"c{i + 1}" for i in range(len(first))]
+            lines = itertools.chain([head], lines)
         blocks = []
         n_rows = 0
         while block := list(itertools.islice(lines, _BLOCK_ROWS)):
@@ -243,21 +247,23 @@ def load_csv(path, target_columns) -> Dataset:
             (an int or a numpy integer) meaning "the last n columns".
 
     Raises:
-        ValueError: parse errors as load_table, a bad count, or a target
-            name given twice or unknown (the error lists the names).
+        ValueError: parse errors as load_table, a target count (of either
+            form) outside [1, columns - 1], or a target name given twice
+            or unknown (the error lists the names).
     """
     names, rows = load_table(path)
     width = len(names)
     if isinstance(target_columns, (numbers.Number, np.bool_)):
         _check_int("target_columns", target_columns, 1)
-        if target_columns >= width:
-            raise ValueError(f"target count {target_columns} must be in "
-                             f"[1, {width - 1}]")
-        target_names = names[-target_columns:]
+        count, target_names = target_columns, names[-target_columns:]
     else:
         target_names = ([target_columns] if isinstance(target_columns, str)
                         else list(target_columns))
+        count = len(target_names)
     t_idx = _columns(names, target_names, "target column")
+    if not 1 <= count < width:
+        raise ValueError(f"target count {count} must be in [1, {width - 1}] "
+                         f"for a table of {width} columns")
     f_idx = [i for i in range(width) if i not in t_idx]
     return Dataset(rows[:, f_idx], rows[:, t_idx],
                    [names[i] for i in f_idx], target_names)

@@ -89,6 +89,24 @@ def test_train_reports_metrics_and_saves_model(tmp_path, capsys):
     assert report["final"]["train_r2"] > 0.9
 
 
+def test_train_report_holds_the_held_out_loss(tmp_path):
+    # valid_loss used to be null with a test split; the split's losses
+    # leave the fit, and so the model file, as they were
+    argv = ["train", "--gen", "friedman1", "--samples", 300, "--epochs", 3,
+            "--order", 2, "--steps", 2, "--test-fraction", 0.25]
+    assert run(*argv, "--out", tmp_path / "plain.json") == 0
+    report_path = tmp_path / "r.json"
+    assert run(*argv, "--out", tmp_path / "m.json",
+               "--report", report_path) == 0
+    assert ((tmp_path / "m.json").read_bytes()
+            == (tmp_path / "plain.json").read_bytes())
+    report = json.loads(report_path.read_text())
+    valid = report["valid_loss"]
+    assert len(valid) == len(report["train_loss"]) == 3
+    assert np.isfinite(valid).all()
+    assert report["best_epoch"] == int(np.argmin(valid))
+
+
 def test_train_quantile_split(tmp_path, capsys):
     model_path = tmp_path / "m.json"
     code = run("train", "--gen", "linear", "--samples", 200, "--seed", 5,
@@ -144,6 +162,49 @@ def test_predict_matches_columns_by_header(tmp_path):
     expected = outputs["in_order"].read_bytes()
     assert outputs["reordered"].read_bytes() == expected
     assert outputs["headerless"].read_bytes() == expected
+
+
+def test_predict_reads_a_header_of_default_names_by_name(tmp_path, capsys):
+    # a header equal to the names of a headerless file's columns (c1, c2)
+    # used to be read by position, so its swapped columns went to the
+    # model swapped
+    rows = np.random.default_rng(6).uniform(size=(60, 3))
+    data = tmp_path / "c2c1y.csv"
+    _write_features(data, ["c2", "c1", "y"], rows)
+    model_path = tmp_path / "m.json"
+    assert run("train", "--data", data, "--targets", "y", "--epochs", 30,
+               "--out", model_path) == 0
+    X = rows[:5, :2]
+    outputs = []
+    for header, columns in ((["c2", "c1"], X), (None, X),
+                            (["c1", "c2"], X[:, ::-1])):
+        path = tmp_path / "features.csv"
+        _write_features(path, header, columns)
+        capsys.readouterr()
+        assert run("predict", "--model", model_path, "--data", path) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def test_evaluate_reads_a_header_of_default_names_by_name(tmp_path, capsys):
+    # evaluate took a file whose names were c1, c2, c3 in any order for a
+    # headerless one, and so scored swapped columns by position
+    rows = np.random.default_rng(7).uniform(size=(60, 3))
+    swapped = tmp_path / "c2c1c3.csv"
+    _write_features(swapped, ["c2", "c1", "c3"], rows[:, [1, 0, 2]])
+    # a headerless training file records the names a header c1,c2,c3 gives
+    for header in (["c1", "c2", "c3"], None):
+        data, model_path = tmp_path / "d.csv", tmp_path / "m.json"
+        _write_features(data, header, rows)
+        assert run("train", "--data", data, "--targets", "c3", "--epochs", 5,
+                   "--order", 2, "--steps", 2, "--out", model_path) == 0
+        outputs = []
+        for path in (data, swapped):
+            capsys.readouterr()
+            assert run("evaluate", "--model", model_path, "--data", path) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
 
 
 def test_a_header_that_names_a_column_twice_is_one_error_line(tmp_path,
@@ -426,6 +487,8 @@ def test_argparse_usage_error_exits_2():
     (["raise-order", "--model", "m.json", "--steps", "0", "--out", "r.json"],
      "--steps"),
     (["train", "--data", "d.csv", "--targets", "0", "--out", "m.json"],
+     "--targets"),
+    (["train", "--data", "d.csv", "--targets", " , ", "--out", "m.json"],
      "--targets"),
 ])
 def test_a_malformed_flag_value_is_a_usage_error_naming_the_flag(

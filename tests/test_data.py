@@ -231,6 +231,12 @@ def test_load_csv_trailing_count_and_named_targets(tmp_path):
         load_csv(path, 4)
     with pytest.raises(ValueError):
         load_csv(path, 0)
+    # the name form used to give a Y, or an X, of no columns
+    for targets, count in (([], 0), (["a", "b", "y1", "y2"], 4)):
+        with pytest.raises(ValueError, match=(
+                rf"target count {count} must be in \[1, 3\] for a table "
+                rf"of 4 columns")):
+            load_csv(path, targets)
 
 
 def test_load_csv_takes_one_target_name(tmp_path):

@@ -1,7 +1,8 @@
 """Property tests of the exact round trips: JSON save/load, ODE
 extract/rebuild and raise-order at step doublings over random model
 shapes, CSV save/load over random tables, and table parsing against a
-per-cell float() reference; of the divergence errors of the forward
+per-cell float() reference; of the CLI's column matching by header
+against in-process predict; of the divergence errors of the forward
 passes against a plain loop; of the model-file boundary under mutated
 documents; and of the one rule for numeric and array arguments."""
 
@@ -29,6 +30,7 @@ from tmpnn import (AdamaxState, Dataset, DivergenceError, OdeSystem, Scaler,
                    rebuild_map, render_ode, rescale_time, save_csv,
                    save_model, split_quantile, split_random)
 from tmpnn.basis import eval_monomials_batch
+from tmpnn.cli import main
 
 # (n, m, l, k, p) with the weights, init state and scaler drawn from a seed
 shapes = st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2),
@@ -411,6 +413,34 @@ def test_load_table_rejects_a_header_that_names_a_column_twice(table):
         with pytest.raises(ValueError) as err:
             load_table(path)
     assert str(err.value) == f"{path}: column {twice!r} is named twice"
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_predict_reads_a_header_by_name_and_no_header_by_position(width,
+                                                                  data):
+    # a header that read c1,c2,... used to be taken for no header, so its
+    # columns went to the model by position
+    defaults = [f"c{i + 1}" for i in range(width)]
+    recorded = data.draw(st.permutations(defaults), label="feature_names")
+    header = data.draw(st.none() | st.permutations(defaults), label="header")
+    model, rng = random_model(width, 1, 0, 2, 2, data.draw(
+        st.integers(0, 2 ** 32 - 1), label="seed"))
+    X = rng.uniform(-1.0, 1.0, size=(5, width))
+    lines = [",".join(header)] if header else []
+    lines += [",".join(map(repr, row)) for row in X.tolist()]
+    order = ([header.index(name) for name in recorded] if header
+             else list(range(width)))
+    with tempfile.TemporaryDirectory() as tmp:
+        model_path, data_path, out_path = (Path(tmp) / name for name in
+                                           ("m.json", "x.csv", "y.csv"))
+        save_model(model, model_path, feature_names=recorded,
+                   target_names=["y"])
+        data_path.write_text("\n".join(lines) + "\n")
+        assert main(["predict", "--model", str(model_path), "--data",
+                     str(data_path), "--out", str(out_path)]) == 0
+        _, got = load_table(out_path)
+    assert got.tobytes() == predict(model, X[:, order]).tobytes()
 
 
 NOT_FINITE = [math.nan, math.inf, -math.inf]
