@@ -101,6 +101,7 @@ def _split(args, dataset):
 
 def cmd_train(args) -> int:
     import json
+    import math
 
     from . import data as datamod, io as iomod, model as modelmod
     train, test = _split(args, _load_training_data(args))
@@ -115,7 +116,8 @@ def cmd_train(args) -> int:
                                   learning_rate=args.lr,
                                   shuffle_seed=args.seed)
     # without early_stop the test split only adds its losses to the report
-    report = modelmod.fit(model, train, test, config=config)
+    report = modelmod.fit(model, train, test if args.report else None,
+                          config=config)
 
     metrics = {}
     for split, part in (("train", train), ("test", test)):
@@ -134,10 +136,13 @@ def cmd_train(args) -> int:
     iomod.save_model(model, args.out, feature_names=train.feature_names,
                      target_names=train.target_names, training=training_meta)
     if args.report is not None:
+        # fit records a held-out pass that diverged or overflowed as inf
+        valid = report.valid_losses and [v if math.isfinite(v) else None
+                                         for v in report.valid_losses]
         doc = {
             "epoch": list(range(report.epochs_run)),
             "train_loss": report.train_losses,
-            "valid_loss": report.valid_losses,
+            "valid_loss": valid,
             "best_epoch": report.best_epoch,
             "final": metrics,
         }
@@ -151,18 +156,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _model_columns(path, what, names, values, model, extras):
+def _model_columns(path, what, names, values, model, extras, headed):
     """(names, values) of a file's what ("feature" or "target") columns in
-    the model's order: matched by header name when the file has a header
-    and the model records names, by position otherwise.  A column count
-    other than the model's, or header names that do not match, is a
-    ValueError; a mismatch names the missing and the unexpected ones."""
+    the model's order: matched by header name when the file is headed
+    (load_table's decision) and the model records names, by position
+    otherwise.  A column count other than the model's, or header names
+    that do not match, is a ValueError; a mismatch names the missing and
+    the unexpected ones."""
     from . import data as datamod
     count, recorded = getattr(model, f"n_{what}s"), extras.get(f"{what}_names")
     if values.shape[1] != count:
         raise ValueError(f"data has {values.shape[1]} {what} columns but "
                          f"the model expects {count}")
-    if not recorded or names == recorded or not datamod._has_header(path):
+    if not (recorded and headed) or names == recorded:
         return names, values
     missing = [n for n in recorded if n not in names]
     unexpected = [n for n in names if n not in recorded]
@@ -181,14 +187,15 @@ def cmd_evaluate(args) -> int:
     if not wanted:
         raise ValueError("the model file records no target names; "
                          "pass --targets")
-    dataset = datamod.load_csv(args.data, wanted)
+    table = datamod.load_table(args.data)
+    dataset = datamod._with_targets(*table, wanted)
     _, test = _split(args, dataset)
     if test is not None:
         dataset = test
     _, X = _model_columns(args.data, "feature", dataset.feature_names,
-                          dataset.X, model, extras)
+                          dataset.X, model, extras, table.headed)
     targets, Y = _model_columns(args.data, "target", dataset.target_names,
-                                dataset.Y, model, extras)
+                                dataset.Y, model, extras, table.headed)
     pred = modelmod.predict(model, X)
     print(f"rows {dataset.n_samples}")
     for j, name in enumerate(targets):
@@ -203,8 +210,9 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     from . import data as datamod, io as iomod, model as modelmod
     model, extras = iomod.load_model(args.model)
-    names, X = datamod.load_table(args.data)
-    _, X = _model_columns(args.data, "feature", names, X, model, extras)
+    table = datamod.load_table(args.data)
+    _, X = _model_columns(args.data, "feature", *table, model, extras,
+                          table.headed)
     pred = modelmod.predict(model, X)
     chunks = datamod.csv_text_blocks(_target_names(model, extras), pred)
     _write(args.out, chunks)

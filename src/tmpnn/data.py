@@ -124,11 +124,10 @@ def _is_header(cells: list[str]) -> bool:
         return True
 
 
-def _has_header(path) -> bool:
-    """Whether load_table takes the first line of path for a header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        head = next(filter(None, map(str.strip, fh)), "")
-    return _is_header(_split_line(head, _detect_delimiter(head)))
+class _Table(tuple):
+    """load_table's (names, values) pair; `headed` tells whether the names
+    came from a header, which names c1, c2, ... alone do not tell."""
+    headed: bool
 
 
 # Rows parsed, or formatted, as one block: enough that the per-block
@@ -151,7 +150,8 @@ def load_table(path) -> tuple[list[str], np.ndarray]:
     non-ASCII digits).
 
     Returns:
-        (names, values) with values of shape (rows, columns).
+        (names, values) with values of shape (rows, columns); the pair's
+        `headed` attribute tells whether the first line was a header.
 
     Raises:
         ValueError: a repeated name, empty table, ragged row, missing
@@ -166,7 +166,8 @@ def load_table(path) -> tuple[list[str], np.ndarray]:
             raise ValueError(f"{path}: file contains no data")
         delim = _detect_delimiter(head)
         first = _split_line(head, delim)
-        if _is_header(first):
+        headed = _is_header(first)
+        if headed:
             names = first
             _columns(names, names, f"{path}: column")
         else:
@@ -192,7 +193,9 @@ def load_table(path) -> tuple[list[str], np.ndarray]:
         r, c = np.argwhere(~np.isfinite(rows))[0]
         raise ValueError(f"{path}: non-finite value {rows[r, c]} at "
                          f"row {r + 1}, column {names[c]!r}")
-    return names, rows
+    table = _Table((names, rows))
+    table.headed = headed
+    return table
 
 
 def _parse_block_by_cell(path, block: list[str], delim: str | None,
@@ -251,7 +254,12 @@ def load_csv(path, target_columns) -> Dataset:
             form) outside [1, columns - 1], or a target name given twice
             or unknown (the error lists the names).
     """
-    names, rows = load_table(path)
+    return _with_targets(*load_table(path), target_columns)
+
+
+def _with_targets(names: list[str], rows: np.ndarray,
+                  target_columns) -> Dataset:
+    """load_csv's Dataset of a table already read."""
     width = len(names)
     if isinstance(target_columns, (numbers.Number, np.bool_)):
         _check_int("target_columns", target_columns, 1)

@@ -1,6 +1,7 @@
 """End-to-end command-line flows, run in process through main()."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -107,6 +108,23 @@ def test_train_report_holds_the_held_out_loss(tmp_path):
     assert report["best_epoch"] == int(np.argmin(valid))
 
 
+def test_train_report_writes_an_overflowed_held_out_loss_as_null(tmp_path):
+    # fit records inf for an epoch whose held-out pass overflows (here the
+    # first three, on extrapolated rows with unscaled features); JSON has
+    # no inf, so train used to exit 1 after saving the model, leaving the
+    # report cut off mid-array
+    report_path = tmp_path / "r.json"
+    assert run("train", "--gen", "linear", "--samples", 200, "--range", -1,
+               10, "--seed", 1, "--split-quantile", "x:0.8", "--standardize",
+               "off", "--order", 3, "--steps", 5, "--epochs", 20, "--batch",
+               32, "--lr", 0.3, "--out", tmp_path / "m.json",
+               "--report", report_path) == 0
+    valid = json.loads(report_path.read_text())["valid_loss"]
+    assert len(valid) == 20
+    assert None in valid
+    assert np.isfinite([v for v in valid if v is not None]).all()
+
+
 def test_train_quantile_split(tmp_path, capsys):
     model_path = tmp_path / "m.json"
     code = run("train", "--gen", "linear", "--samples", 200, "--seed", 5,
@@ -205,6 +223,38 @@ def test_evaluate_reads_a_header_of_default_names_by_name(tmp_path, capsys):
             assert run("evaluate", "--model", model_path, "--data", path) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[1] == outputs[0]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"),
+                    reason="needs /dev/stdin")
+def test_predict_matches_a_piped_header_by_name(tmp_path):
+    # the header decision came from a second read of the file, which a
+    # pipe answers with nothing, so a piped header was read by position:
+    # swapped columns went in swapped and foreign names went unnoticed
+    rows = np.random.default_rng(8).uniform(size=(60, 3))
+    data, model_path = tmp_path / "c2c1y.csv", tmp_path / "m.json"
+    _write_features(data, ["c2", "c1", "y"], rows)
+    assert run("train", "--data", data, "--targets", "y", "--epochs", 5,
+               "--order", 2, "--steps", 2, "--out", model_path) == 0
+    X = rows[:5, :2]
+    in_order, expected = tmp_path / "x.csv", tmp_path / "y.csv"
+    _write_features(in_order, ["c2", "c1"], X)
+    assert run("predict", "--model", model_path, "--data", in_order,
+               "--out", expected) == 0
+
+    def piped(header, columns):
+        _write_features(tmp_path / "piped.csv", header, columns)
+        return subprocess.run(
+            [sys.executable, "-m", "tmpnn.cli", "predict", "--model",
+             str(model_path), "--data", "/dev/stdin"],
+            input=(tmp_path / "piped.csv").read_text(), capture_output=True,
+            text=True, timeout=120)
+
+    proc = piped(["c1", "c2"], X[:, ::-1])
+    assert (proc.returncode, proc.stdout) == (0, expected.read_text())
+    proc = piped(["a", "b"], X)
+    assert proc.returncode == 1
+    assert "columns do not match the model's features" in proc.stderr
 
 
 def test_a_header_that_names_a_column_twice_is_one_error_line(tmp_path,
