@@ -100,7 +100,6 @@ def _split(args, dataset):
 
 
 def cmd_train(args) -> int:
-    import json
     import math
 
     from . import data as datamod, io as iomod, model as modelmod
@@ -126,29 +125,29 @@ def cmd_train(args) -> int:
             metrics[f"{split}_mse"] = datamod.metric_mse(part.Y, pred)
             metrics[f"{split}_r2"] = datamod.metric_r2(part.Y, pred)
 
+    def null(value):  # JSON has no inf: a non-finite number is written null
+        return value if math.isfinite(value) else None
+
+    written = {key: null(value) for key, value in metrics.items()}
     training_meta = {
         "seed": args.seed,
         "epochs_run": report.epochs_run,
         "diverged_steps": report.diverged_steps,
-        "final_train_mse": report.final_train_mse,
-        **metrics,
+        "final_train_mse": null(report.final_train_mse),
+        **written,
     }
     iomod.save_model(model, args.out, feature_names=train.feature_names,
                      target_names=train.target_names, training=training_meta)
     if args.report is not None:
         # fit records a held-out pass that diverged or overflowed as inf
-        valid = report.valid_losses and [v if math.isfinite(v) else None
-                                         for v in report.valid_losses]
-        doc = {
+        iomod._write_json(args.report, {
             "epoch": list(range(report.epochs_run)),
             "train_loss": report.train_losses,
-            "valid_loss": valid,
+            "valid_loss": report.valid_losses and [
+                null(v) for v in report.valid_losses],
             "best_epoch": report.best_epoch,
-            "final": metrics,
-        }
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, allow_nan=False)
-            fh.write("\n")
+            "final": written,
+        })
 
     for key, value in metrics.items():
         print(f"{key} {value:.6g}")
@@ -160,16 +159,16 @@ def _model_columns(path, what, names, values, model, extras, headed):
     """(names, values) of a file's what ("feature" or "target") columns in
     the model's order: matched by header name when the file is headed
     (load_table's decision) and the model records names, by position
-    otherwise.  A column count other than the model's, or header names
-    that do not match, is a ValueError; a mismatch names the missing and
-    the unexpected ones."""
+    otherwise, under the names the model records.  A column count other
+    than the model's, or header names that do not match, is a ValueError;
+    a mismatch names the missing and the unexpected ones."""
     from . import data as datamod
     count, recorded = getattr(model, f"n_{what}s"), extras.get(f"{what}_names")
     if values.shape[1] != count:
         raise ValueError(f"data has {values.shape[1]} {what} columns but "
                          f"the model expects {count}")
     if not (recorded and headed) or names == recorded:
-        return names, values
+        return recorded or names, values
     missing = [n for n in recorded if n not in names]
     unexpected = [n for n in names if n not in recorded]
     if missing or unexpected:
@@ -183,11 +182,13 @@ def _model_columns(path, what, names, values, model, extras, headed):
 def cmd_evaluate(args) -> int:
     from . import data as datamod, io as iomod, model as modelmod
     model, extras = iomod.load_model(args.model)
-    wanted = args.targets or extras.get("target_names")
+    table = datamod.load_table(args.data)
+    # a file that is not headed holds its targets last, as save_csv writes
+    wanted = args.targets or (extras.get("target_names") if table.headed
+                              else model.n_targets)
     if not wanted:
         raise ValueError("the model file records no target names; "
                          "pass --targets")
-    table = datamod.load_table(args.data)
     dataset = datamod._with_targets(*table, wanted)
     _, test = _split(args, dataset)
     if test is not None:
@@ -214,18 +215,9 @@ def cmd_predict(args) -> int:
     _, X = _model_columns(args.data, "feature", *table, model, extras,
                           table.headed)
     pred = modelmod.predict(model, X)
-    chunks = datamod.csv_text_blocks(_target_names(model, extras), pred)
-    _write(args.out, chunks)
+    datamod._write_text(args.out, datamod.csv_text_blocks(
+        _target_names(model, extras), pred))
     return 0
-
-
-def _write(out, chunks) -> None:
-    """Write text chunks to the file out, or to stdout when out is None."""
-    if out is None:
-        sys.stdout.writelines(chunks)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
 
 
 def _target_names(model, extras) -> list[str]:
@@ -241,7 +233,7 @@ def _state_names(model, extras) -> list[str]:
 
 
 def cmd_inspect_ode(args) -> int:
-    from . import io as iomod, odeview
+    from . import data as datamod, io as iomod, odeview
     model, extras = iomod.load_model(args.model)
     ode = odeview.extract_ode(model)
     text = odeview.render_ode(ode, _state_names(model, extras),
@@ -249,7 +241,7 @@ def cmd_inspect_ode(args) -> int:
     if model.scaler is not None:
         text = ("# feature coordinates are standardized: "
                 "x_scaled = (x - mean) / scale\n" + text)
-    _write(args.out, [text, "\n"])
+    datamod._write_text(args.out, [text, "\n"])
     return 0
 
 

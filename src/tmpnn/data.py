@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import itertools
 import numbers
+import sys
 from collections.abc import Hashable
 from dataclasses import dataclass
 
@@ -296,8 +297,17 @@ def save_csv(dataset: Dataset, path) -> None:
     reproduces values exactly.
     """
     names = list(dataset.feature_names) + list(dataset.target_names)
+    _write_text(path, csv_text_blocks(names, np.hstack([dataset.X, dataset.Y])))
+
+
+def _write_text(path, chunks) -> None:
+    """Write text chunks to the file path, or to stdout when path is None;
+    the one writer of every file tmpnn writes, so each has "\n" line ends."""
+    if path is None:
+        sys.stdout.writelines(chunks)
+        return
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(csv_text_blocks(names, np.hstack([dataset.X, dataset.Y])))
+        fh.writelines(chunks)
 
 
 def split_random(dataset: Dataset, test_fraction: float,
@@ -333,12 +343,13 @@ def split_quantile(dataset: Dataset, column: str,
 
 
 def metric_mse(y_true, y_pred) -> float:
-    """Mean squared error over every entry of the target matrix."""
+    """Mean squared error over every target entry; inf if it overflows."""
     y_true = np.asarray(y_true, dtype=np.float64)
     y_pred = np.asarray(y_pred, dtype=np.float64)
     if y_true.shape != y_pred.shape:
         raise ValueError(f"shape mismatch: {y_true.shape} vs {y_pred.shape}")
-    return float(np.mean((y_true - y_pred) ** 2))
+    with np.errstate(over="ignore"):  # an overflowed error is inf
+        return float(np.mean((y_true - y_pred) ** 2))
 
 
 def metric_r2(y_true, y_pred) -> float:
@@ -358,5 +369,6 @@ def metric_r2(y_true, y_pred) -> float:
     ss_tot = np.sum((y_true - y_true.mean(axis=0)) ** 2, axis=0)
     if np.any(ss_tot == 0.0):
         raise ValueError("R^2 is undefined for a constant true target column")
-    ss_res = np.sum((y_true - y_pred) ** 2, axis=0)
+    with np.errstate(over="ignore"):  # an overflowed error gives -inf
+        ss_res = np.sum((y_true - y_pred) ** 2, axis=0)
     return float(np.mean(1.0 - ss_res / ss_tot))

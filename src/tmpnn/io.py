@@ -18,6 +18,7 @@ import numbers
 import numpy as np
 
 from .basis import build_basis
+from .data import _write_text
 from .errors import _check_finite, _check_int, _check_real
 from .model import Scaler, TmpnnModel
 from .taylor_map import TaylorMapWeights
@@ -69,11 +70,15 @@ def save_model(model: TmpnnModel, path, *, feature_names=None,
         training: optional JSON-compatible dict of training metadata
             (seed, epochs run, final losses).
     """
-    doc = model_to_dict(model, feature_names=feature_names,
-                        target_names=target_names, training=training)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, allow_nan=False)
-        fh.write("\n")
+    _write_json(path, model_to_dict(model, feature_names=feature_names,
+                                    target_names=target_names, training=training))
+
+
+def _write_json(path, doc) -> None:
+    """Write doc to path as JSON; the text is made whole before the file
+    opens, so a document that cannot be written (a non-finite number is a
+    ValueError) leaves path as it was."""
+    _write_text(path, [json.dumps(doc, indent=1, allow_nan=False), "\n"])
 
 
 def model_from_dict(doc: dict) -> tuple[TmpnnModel, dict]:

@@ -504,8 +504,7 @@ def _metric_mse_or_inf(model: TmpnnModel, data: Dataset) -> float:
     not be the thing that crashes a run; an MSE that overflows is inf too.
     """
     try:
-        with np.errstate(over="ignore"):
-            return metric_mse(data.Y, predict(model, data.X))
+        return metric_mse(data.Y, predict(model, data.X))
     except DivergenceError:
         return float("inf")
 

@@ -108,21 +108,31 @@ def test_train_report_holds_the_held_out_loss(tmp_path):
     assert report["best_epoch"] == int(np.argmin(valid))
 
 
-def test_train_report_writes_an_overflowed_held_out_loss_as_null(tmp_path):
+def test_train_report_writes_an_overflowed_held_out_loss_as_null(tmp_path,
+                                                                  capsys):
     # fit records inf for an epoch whose held-out pass overflows (here the
     # first three, on extrapolated rows with unscaled features); JSON has
     # no inf, so train used to exit 1 after saving the model, leaving the
-    # report cut off mid-array
-    report_path = tmp_path / "r.json"
-    assert run("train", "--gen", "linear", "--samples", 200, "--range", -1,
-               10, "--seed", 1, "--split-quantile", "x:0.8", "--standardize",
-               "off", "--order", 3, "--steps", 5, "--epochs", 20, "--batch",
-               32, "--lr", 0.3, "--out", tmp_path / "m.json",
-               "--report", report_path) == 0
-    valid = json.loads(report_path.read_text())["valid_loss"]
-    assert len(valid) == 20
-    assert None in valid
-    assert np.isfinite([v for v in valid if v is not None]).all()
+    # report cut off mid-array.  With seed 3 the final test MSE overflows
+    # too: train used to exit 1 with the model file cut off at "test_mse"
+    model_path, report_path = tmp_path / "m.json", tmp_path / "r.json"
+    for seed, overflowed in ((1, False), (3, True)):
+        assert run("train", "--gen", "linear", "--samples", 200, "--range",
+                   -1, 10, "--seed", seed, "--split-quantile", "x:0.8",
+                   "--standardize", "off", "--order", 3, "--steps", 5,
+                   "--epochs", 20, "--batch", 32, "--lr", 0.3,
+                   "--out", model_path, "--report", report_path) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(report_path.read_text())
+        valid = report["valid_loss"]
+        assert len(valid) == 20
+        assert None in valid
+        assert np.isfinite([v for v in valid if v is not None]).all()
+        model, extras = load_model(model_path)
+        assert np.isfinite(predict(model, np.array([[0.5]]))).all()
+        test_mse = extras["training"]["test_mse"]
+        assert (test_mse is None) == overflowed
+        assert report["final"]["test_mse"] == test_mse
 
 
 def test_train_quantile_split(tmp_path, capsys):
@@ -397,6 +407,14 @@ def test_evaluate_matches_targets_by_name(tmp_path, capsys):
         assert run("evaluate", "--model", model_path, "--data", path,
                    "--targets", targets) == 0
         assert capsys.readouterr().out == want
+
+    # a file that is not headed holds its targets last, under the model's
+    # names; evaluate used to look y1 and y2 up among c1..c4 and exit 1
+    headerless = tmp_path / "headerless.csv"
+    headerless.write_text("".join(data.read_text().splitlines(True)[1:]))
+    capsys.readouterr()
+    assert run("evaluate", "--model", model_path, "--data", headerless) == 0
+    assert capsys.readouterr().out == want
 
     # a target name the model does not record is named, as a feature's is
     renamed = tmp_path / "renamed.csv"

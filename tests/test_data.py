@@ -340,6 +340,9 @@ def test_metric_mse():
     assert metric_mse([0.0, 0.0], [1.0, 3.0]) == 5.0
     # multi-target mean runs over every entry
     assert metric_mse([[0.0, 0.0]], [[3.0, 4.0]]) == 12.5
+    # an error that overflows is inf, without a RuntimeWarning (an error
+    # under pyproject.toml's filter)
+    assert metric_mse([0.0, 1.0], [1e200, 0.0]) == np.inf
     with pytest.raises(ValueError):
         metric_mse([1.0], [1.0, 2.0])
 
@@ -353,6 +356,7 @@ def test_metric_r2():
     pred = np.stack([y, np.full(4, y.mean())], axis=1)
     assert abs(metric_r2(y2, pred) - 0.5) < 1e-15
     assert metric_r2(y, y[::-1]) < 1.0
+    assert metric_r2([0.0, 1.0], [1e200, 0.0]) == -np.inf  # no warning
     with pytest.raises(ValueError, match="constant"):
         metric_r2(np.ones(4), y)
     with pytest.raises(ValueError):

@@ -165,6 +165,16 @@ def test_nan_weights_refuse_to_serialize(tmp_path):
     model.map.delta[0, 0] = np.inf
     with pytest.raises(ValueError):
         save_model(model, tmp_path / "bad.json")
+    # the document used to be streamed into the open file, so an inf in
+    # the training record left an existing file cut off at "test_mse"
+    path = tmp_path / "m.json"
+    save_model(make_model(), path, training={"test_mse": 1.0})
+    before = path.read_bytes()
+    for bad, training in ((model, None),
+                          (make_model(), {"test_mse": float("inf")})):
+        with pytest.raises(ValueError):
+            save_model(bad, path, training=training)
+        assert path.read_bytes() == before
 
 
 def test_dimensions_are_exact_integers():
