@@ -155,10 +155,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _model_columns(path, what, names, values, model, extras, headed):
+def _model_columns(path, what, names, values, model, extras, by_name):
     """(names, values) of a file's what ("feature" or "target") columns in
-    the model's order: matched by header name when the file is headed
-    (load_table's decision) and the model records names, by position
+    the model's order: matched by name when by_name (a headed file, by
+    load_table's decision) and the model records names, by position
     otherwise, under the names the model records.  A column count other
     than the model's, or header names that do not match, is a ValueError;
     a mismatch names the missing and the unexpected ones."""
@@ -167,7 +167,7 @@ def _model_columns(path, what, names, values, model, extras, headed):
     if values.shape[1] != count:
         raise ValueError(f"data has {values.shape[1]} {what} columns but "
                          f"the model expects {count}")
-    if not (recorded and headed) or names == recorded:
+    if not (recorded and by_name) or names == recorded:
         return recorded or names, values
     missing = [n for n in recorded if n not in names]
     unexpected = [n for n in names if n not in recorded]
@@ -183,20 +183,20 @@ def cmd_evaluate(args) -> int:
     from . import data as datamod, io as iomod, model as modelmod
     model, extras = iomod.load_model(args.model)
     table = datamod.load_table(args.data)
-    # a file that is not headed holds its targets last, as save_csv writes
-    wanted = args.targets or (extras.get("target_names") if table.headed
-                              else model.n_targets)
+    # targets by name where the file has the model's names, else the last
+    recorded = extras.get("target_names")
+    by_name = table.headed or bool(recorded) and set(recorded) <= set(table[0])
+    wanted = args.targets or (recorded if by_name else model.n_targets)
     if not wanted:
         raise ValueError("the model file records no target names; "
                          "pass --targets")
     dataset = datamod._with_targets(*table, wanted)
     _, test = _split(args, dataset)
-    if test is not None:
-        dataset = test
+    dataset = test or dataset
     _, X = _model_columns(args.data, "feature", dataset.feature_names,
-                          dataset.X, model, extras, table.headed)
+                          dataset.X, model, extras, by_name)
     targets, Y = _model_columns(args.data, "target", dataset.target_names,
-                                dataset.Y, model, extras, table.headed)
+                                dataset.Y, model, extras, by_name)
     pred = modelmod.predict(model, X)
     print(f"rows {dataset.n_samples}")
     for j, name in enumerate(targets):

@@ -301,8 +301,8 @@ def save_csv(dataset: Dataset, path) -> None:
 
 
 def _write_text(path, chunks) -> None:
-    """Write text chunks to the file path, or to stdout when path is None;
-    the one writer of every file tmpnn writes, so each has "\n" line ends."""
+    """Write text chunks to the file path, as UTF-8 with "\n" line ends, or
+    to stdout, in its own text mode, when path is None."""
     if path is None:
         sys.stdout.writelines(chunks)
         return

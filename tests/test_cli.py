@@ -416,6 +416,19 @@ def test_evaluate_matches_targets_by_name(tmp_path, capsys):
     assert run("evaluate", "--model", model_path, "--data", headerless) == 0
     assert capsys.readouterr().out == want
 
+    # a model trained on a headerless file records c1, c2, ... and finds
+    # them by name there, wherever its targets lie
+    first = tmp_path / "first.json"
+    assert run("train", "--data", headerless, "--targets", "c3",
+               "--order", 2, "--steps", 2, "--epochs", 5, "--out", first) == 0
+    outputs = []
+    for targets in (("--targets", "c3"), ()):
+        capsys.readouterr()
+        assert run("evaluate", "--model", first, "--data", headerless,
+                   *targets) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "target c3 " in outputs[0] and outputs[1] == outputs[0]
+
     # a target name the model does not record is named, as a feature's is
     renamed = tmp_path / "renamed.csv"
     _write_features(renamed, ["a", "b", "y1", "z"], np.hstack([X, Y]))
