@@ -120,8 +120,11 @@ def cmd_train(args) -> int:
 
     metrics = {}
     for split, part in (("train", train), ("test", test)):
-        if part is not None:
-            pred = modelmod.predict(model, part.X)
+        if part is not None:  # scored as fit scores its own passes
+            pred, diverged = modelmod._guarded_predict(model, part.X)
+            if diverged:
+                print(f"warning: the model diverged on the {split} split, "
+                      "so its mse is inf and its r2 -inf", file=sys.stderr)
             metrics[f"{split}_mse"] = datamod.metric_mse(part.Y, pred)
             metrics[f"{split}_r2"] = datamod.metric_r2(part.Y, pred)
 
@@ -133,7 +136,6 @@ def cmd_train(args) -> int:
         "seed": args.seed,
         "epochs_run": report.epochs_run,
         "diverged_steps": report.diverged_steps,
-        "final_train_mse": null(report.final_train_mse),
         **written,
     }
     iomod.save_model(model, args.out, feature_names=train.feature_names,
@@ -155,9 +157,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _model_columns(path, what, names, values, model, extras, by_name):
+def _model_columns(path, what, names, values, model, extras, headed):
     """(names, values) of a file's what ("feature" or "target") columns in
-    the model's order: matched by name when by_name (a headed file, by
+    the model's order: matched by name when the file is headed (by
     load_table's decision) and the model records names, by position
     otherwise, under the names the model records.  A column count other
     than the model's, or header names that do not match, is a ValueError;
@@ -167,7 +169,7 @@ def _model_columns(path, what, names, values, model, extras, by_name):
     if values.shape[1] != count:
         raise ValueError(f"data has {values.shape[1]} {what} columns but "
                          f"the model expects {count}")
-    if not (recorded and by_name) or names == recorded:
+    if not (recorded and headed) or names == recorded:
         return recorded or names, values
     missing = [n for n in recorded if n not in names]
     unexpected = [n for n in names if n not in recorded]
@@ -183,20 +185,22 @@ def cmd_evaluate(args) -> int:
     from . import data as datamod, io as iomod, model as modelmod
     model, extras = iomod.load_model(args.model)
     table = datamod.load_table(args.data)
-    # targets by name where the file has the model's names, else the last
-    recorded = extras.get("target_names")
-    by_name = table.headed or bool(recorded) and set(recorded) <= set(table[0])
-    wanted = args.targets or (recorded if by_name else model.n_targets)
-    if not wanted:
-        raise ValueError("the model file records no target names; "
-                         "pass --targets")
-    dataset = datamod._with_targets(*table, wanted)
+    # targets by name (a headerless file's are c1, c2, ...) or --targets N
+    wanted = args.targets or extras.get("target_names")
+    try:
+        if not wanted:
+            raise ValueError("the model file records no target names")
+        dataset = datamod._with_targets(*table, wanted)
+    except ValueError as exc:
+        if args.targets:
+            raise
+        raise ValueError(f"{args.data}: {exc}; pass --targets") from None
     _, test = _split(args, dataset)
     dataset = test or dataset
     _, X = _model_columns(args.data, "feature", dataset.feature_names,
-                          dataset.X, model, extras, by_name)
+                          dataset.X, model, extras, table.headed)
     targets, Y = _model_columns(args.data, "target", dataset.target_names,
-                                dataset.Y, model, extras, by_name)
+                                dataset.Y, model, extras, table.headed)
     pred = modelmod.predict(model, X)
     print(f"rows {dataset.n_samples}")
     for j, name in enumerate(targets):
@@ -328,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--targets", type=_parse_targets,
-                   help="target columns if the model file lacks names")
+                   help="target columns (default: the model's target names)")
     _add_split_flags(p, "evaluate only a random test portion",
                      "evaluate only rows above the column quantile")
     p.add_argument("--seed", type=_count, default=0)

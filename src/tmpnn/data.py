@@ -357,6 +357,8 @@ def metric_r2(y_true, y_pred) -> float:
 
     Each target column gets its own 1 - SS_res/SS_tot score; the result is
     their plain mean.  A constant true column makes the score undefined.
+    A sum that overflows is inf, and the score follows from it without a
+    warning: -inf for SS_res alone, nan when both overflow.
     """
     y_true = np.asarray(y_true, dtype=np.float64)
     y_pred = np.asarray(y_pred, dtype=np.float64)
@@ -366,9 +368,10 @@ def metric_r2(y_true, y_pred) -> float:
         y_pred = y_pred[:, None]
     if y_true.shape != y_pred.shape:
         raise ValueError(f"shape mismatch: {y_true.shape} vs {y_pred.shape}")
-    ss_tot = np.sum((y_true - y_true.mean(axis=0)) ** 2, axis=0)
-    if np.any(ss_tot == 0.0):
-        raise ValueError("R^2 is undefined for a constant true target column")
-    with np.errstate(over="ignore"):  # an overflowed error gives -inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        ss_tot = np.sum((y_true - y_true.mean(axis=0)) ** 2, axis=0)
+        if np.any(ss_tot == 0.0):
+            raise ValueError("R^2 is undefined for a constant true target "
+                             "column")
         ss_res = np.sum((y_true - y_pred) ** 2, axis=0)
-    return float(np.mean(1.0 - ss_res / ss_tot))
+        return float(np.mean(1.0 - ss_res / ss_tot))

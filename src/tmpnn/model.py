@@ -497,16 +497,19 @@ def loss_and_gradient(model: TmpnnModel, batch: Dataset):
     return _step(model, ws, batch.n_samples)
 
 
-def _metric_mse_or_inf(model: TmpnnModel, data: Dataset) -> float:
-    """Full-pass MSE; inf when some row's forward pass diverges.
-
-    Training survives divergent batches, so the bookkeeping passes must
-    not be the thing that crashes a run; an MSE that overflows is inf too.
-    """
+def _guarded_predict(model: TmpnnModel, X) -> tuple[np.ndarray, bool]:
+    """(predict(model, X), False), or (inf in every entry, True) when some
+    row diverges, which scores MSE inf and R^2 -inf: the passes that score
+    a fit, fit's own and `tmpnn train`'s, must not be what crashes it."""
     try:
-        return metric_mse(data.Y, predict(model, data.X))
+        return predict(model, X), False
     except DivergenceError:
-        return float("inf")
+        return np.full((len(X), model.n_targets), np.inf), True
+
+
+def _metric_mse_or_inf(model: TmpnnModel, data: Dataset) -> float:
+    """Full-pass MSE; inf when some row diverges or the MSE overflows."""
+    return metric_mse(data.Y, _guarded_predict(model, data.X)[0])
 
 
 def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from tmpnn import TmpnnModel, load_model, metric_r2, predict, save_model
+from tmpnn import (TmpnnModel, gen_noisy_linear, load_model, metric_r2,
+                   predict, save_model, split_quantile)
 from tmpnn.cli import main
 from tmpnn.data import _BLOCK_ROWS, load_csv, load_table
 
@@ -133,6 +134,28 @@ def test_train_report_writes_an_overflowed_held_out_loss_as_null(tmp_path,
         test_mse = extras["training"]["test_mse"]
         assert (test_mse is None) == overflowed
         assert report["final"]["test_mse"] == test_mse
+
+
+def test_train_keeps_a_fit_whose_test_pass_diverges(tmp_path, capsys):
+    # fit returns (40 epochs, no diverged step), then the forward pass over
+    # the extrapolation split diverges: train used to exit 1 at that pass
+    # with no model written
+    model_path = tmp_path / "d.json"
+    assert run("train", "--gen", "linear", "--samples", 200, "--range", -1, 10,
+               "--seed", 1, "--split-quantile", "x:0.8", "--standardize",
+               "off", "--order", 4, "--steps", 8, "--epochs", 40,
+               "--out", model_path) == 0
+    out, err = capsys.readouterr()
+    assert "test_mse inf" in out and "test_r2 -inf" in out
+    assert "test split" in err and err.count("\n") == 1
+    model, extras = load_model(model_path)
+    train, _ = split_quantile(gen_noisy_linear(200, (-1, 10), seed=1),
+                              "x", 0.8)
+    assert np.isfinite(predict(model, train.X)).all()
+    training = extras["training"]
+    assert training["test_mse"] is None and training["test_r2"] is None
+    assert training["epochs_run"] == 40
+    assert "final_train_mse" not in training
 
 
 def test_train_quantile_split(tmp_path, capsys):
@@ -408,13 +431,36 @@ def test_evaluate_matches_targets_by_name(tmp_path, capsys):
                    "--targets", targets) == 0
         assert capsys.readouterr().out == want
 
-    # a file that is not headed holds its targets last, under the model's
-    # names; evaluate used to look y1 and y2 up among c1..c4 and exit 1
+    # a file that is not headed names its columns c1..c4, so the model's
+    # y1 and y2 are not found there, and --targets says where they are;
+    # evaluate used to take the last columns whatever the model recorded
     headerless = tmp_path / "headerless.csv"
     headerless.write_text("".join(data.read_text().splitlines(True)[1:]))
     capsys.readouterr()
-    assert run("evaluate", "--model", model_path, "--data", headerless) == 0
+    assert run("evaluate", "--model", model_path, "--data", headerless) == 1
+    assert "--targets" in capsys.readouterr().err
+    assert run("evaluate", "--model", model_path, "--data", headerless,
+               "--targets", 2) == 0
     assert capsys.readouterr().out == want
+
+    # so too where the targets are not last: the headerless copy of a file
+    # headed y,a,b used to score b against the model's y, with exit 0
+    yab = tmp_path / "yab.csv"
+    _write_features(yab, ["y", "a", "b"], np.hstack([Y[:, :1], X]))
+    yab_model = tmp_path / "yab.json"
+    assert run("train", "--data", yab, "--targets", "y", "--order", 2,
+               "--steps", 2, "--epochs", 20, "--out", yab_model) == 0
+    capsys.readouterr()
+    assert run("evaluate", "--model", yab_model, "--data", yab) == 0
+    yab_want = capsys.readouterr().out
+    yab_headerless = tmp_path / "yab_headerless.csv"
+    yab_headerless.write_text("".join(yab.read_text().splitlines(True)[1:]))
+    assert run("evaluate", "--model", yab_model,
+               "--data", yab_headerless) == 1
+    assert "--targets" in capsys.readouterr().err
+    assert run("evaluate", "--model", yab_model, "--data", yab_headerless,
+               "--targets", "c1") == 0
+    assert capsys.readouterr().out == yab_want
 
     # a model trained on a headerless file records c1, c2, ... and finds
     # them by name there, wherever its targets lie

@@ -357,6 +357,10 @@ def test_metric_r2():
     assert abs(metric_r2(y2, pred) - 0.5) < 1e-15
     assert metric_r2(y, y[::-1]) < 1.0
     assert metric_r2([0.0, 1.0], [1e200, 0.0]) == -np.inf  # no warning
+    # a true column whose spread overflows: SS_tot is inf, and the score
+    # follows from it, with no warning (it used to warn twice)
+    assert np.isnan(metric_r2([1e200, 0.0], [-1e200, 1.0]))
+    assert metric_r2([1e200, 0.0], [1e200, 0.0]) == 1.0
     with pytest.raises(ValueError, match="constant"):
         metric_r2(np.ones(4), y)
     with pytest.raises(ValueError):
