@@ -20,6 +20,7 @@ order at constant parameter count), and rescales the integration horizon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -163,12 +164,14 @@ def integrate_reference(ode: OdeSystem, z0, n_steps: int = 1000,
         raise ValueError(f"z0 must have shape ({ode.dim},) or (N, {ode.dim})")
     z = np.array(start.reshape(-1, ode.dim))
     # one workspace per call: the stages' monomials side by side, the
-    # stage state and the next state
-    size = ode.basis.size
+    # stage state and the next state (C-contiguous, as ndarray.dot's out
+    # must be) and the ones the overflow screen sums the state with
+    basis, size = ode.basis, ode.basis.size
     phis = np.empty((4 * size, z.shape[0]))
-    blocks = [phis[i * size:(i + 1) * size] for i in range(4)]
+    first, *rest = [phis[i * size:(i + 1) * size] for i in range(4)]
     stage = np.empty_like(z)
     new = np.empty_like(z)
+    ones = np.ones(z.size)
     # overflow, of the coefficient tables too, surfaces as a structured
     # DivergenceError, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -177,20 +180,23 @@ def integrate_reference(ode: OdeSystem, z0, n_steps: int = 1000,
         # RK4's weights folded into the coefficients: stage i + 1 starts at
         # z + phi_i @ (c_i h A), and the step adds the four stages'
         # monomials times [h/6 A; h/3 A; h/3 A; h/6 A] in one product
-        offsets = (0.5 * h) * A, (0.5 * h) * A, h * A
+        stages = tuple(zip(((0.5 * h) * A, (0.5 * h) * A, h * A), rest))
         update = np.concatenate([(h / 6.0) * A, (h / 3.0) * A,
                                  (h / 3.0) * A, (h / 6.0) * A])
         for step in range(n_steps):
-            phi = eval_monomials_batch(ode.basis, z, blocks[0])
-            for offset, block in zip(offsets, blocks[1:]):
-                np.matmul(phi, offset, out=stage)
-                stage += z
-                phi = eval_monomials_batch(ode.basis, stage, block)
-            np.matmul(phis.T, update, out=new)
-            new += z
-            # the ufunc reduction, not ndarray.all's Python wrapper: this
-            # check runs once per step of a one-row probe
-            if not np.logical_and.reduce(np.isfinite(new), axis=None):
+            phi = eval_monomials_batch(basis, z, first)
+            for offset, block in stages:
+                phi.dot(offset, out=stage)
+                np.add(stage, z, out=stage)
+                phi = eval_monomials_batch(basis, stage, block)
+            phis.T.dot(update, out=new)
+            np.add(new, z, out=new)
+            # the screen: an inf or nan entry makes the sum of all entries
+            # non-finite, so a finite sum proves the step finite in one
+            # product; a non-finite one (an overflow, or finite entries
+            # summing past the float maximum) takes the exact test
+            if (not math.isfinite(new.reshape(-1).dot(ones))
+                    and not np.logical_and.reduce(np.isfinite(new), axis=None)):
                 row = int(np.argmin(np.isfinite(new).all(axis=1)))
                 named = row if start.ndim == 2 else None
                 raise DivergenceError(

@@ -68,9 +68,11 @@ def test_monomial_evaluation_and_predict_enter_no_wrapper(model):
 
 
 def test_reference_integration_enters_no_wrapper(model):
+    # a batch, and one row as the benchmark's verify probes integrate
     ode = extract_ode(model)
-    Z0 = np.full((3, model.dim), 0.1)
-    assert fromnumeric_entries(lambda: integrate_reference(ode, Z0, 5)) == []
+    for Z0 in (np.full((3, model.dim), 0.1), np.full(model.dim, 0.1)):
+        assert fromnumeric_entries(
+            lambda: integrate_reference(ode, Z0, 5)) == [], Z0.shape
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from tmpnn import (Dataset, DivergenceError, OdeSystem, TaylorMapWeights,
                    TmpnnModel, TrainConfig, build_basis, extract_ode, fit,
                    identity_weights, integrate_reference, raise_order,
                    rebuild_map, render_ode, rescale_time)
+from tmpnn.basis import eval_monomials_batch
 from tmpnn.model import _forward_states
 
 
@@ -169,6 +170,18 @@ def test_integrate_zero_field_returns_start():
     ode = OdeSystem(basis=basis, A=np.zeros((basis.size, 2)))
     z0 = np.array([0.7, -1.2])
     np.testing.assert_array_equal(integrate_reference(ode, z0, 50), z0)
+    # near the float maximum the overflow screen's sum of the state
+    # overflows though every entry is finite; the exact test behind it
+    # lets the step stand, quietly (the linear field: a square of 1e308
+    # overflows for real, and 0 * inf is nan)
+    linear = OdeSystem(basis=build_basis(2, 1), A=np.zeros((3, 2)))
+    for z0 in (np.array([1e308, 1e308]),
+               np.array([[1e308, 1e308], [-1e308, 1e308], [1e308, -1e308],
+                         [-1e308, -1e308], [1e308, 1e308]])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = integrate_reference(linear, z0, 50)
+        assert got.tobytes() == z0.tobytes()
 
 
 def test_integrate_linear_field_matches_exponential():
@@ -178,6 +191,33 @@ def test_integrate_linear_field_matches_exponential():
     assert abs(result[0] - np.e) < 1e-9
     half = integrate_reference(ode, np.array([1.0]), 1000, t_end=0.5)
     assert abs(half[0] - np.exp(0.5)) < 1e-9
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_integrate_is_textbook_rk4(order):
+    # k1..k4 written out plainly; integrate_reference folds RK4's weights
+    # into the coefficients, so the two differ in rounding only
+    rng = np.random.default_rng(30 + order)
+    basis = build_basis(3, order)
+    A = rng.normal(0.0, 0.3, (basis.size, 3))
+    ode = OdeSystem(basis=basis, A=A)
+
+    def f(Z):
+        return eval_monomials_batch(basis, Z) @ A
+
+    h = 1.0 / 50
+    for z0 in (rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.5, 0.5, (7, 3))):
+        z = np.atleast_2d(z0)
+        for _ in range(50):
+            k1 = f(z)
+            k2 = f(z + h / 2 * k1)
+            k3 = f(z + h / 2 * k2)
+            k4 = f(z + h * k3)
+            z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        got = integrate_reference(ode, z0, 50)
+        assert got.shape == z0.shape
+        for g, want in zip(np.atleast_2d(got), z):
+            assert np.linalg.norm(g - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_integrate_validates_arguments():
