@@ -174,12 +174,7 @@ class TmpnnModel:
     def _checked_features(self, X) -> np.ndarray:
         """X as a float64 (N, n_features) array, a view of X when it is
         one; a ValueError on a wrong width or rank or a non-finite value."""
-        return _check_finite("X", self._features(X))
-
-    def _features(self, X) -> np.ndarray:
-        """_checked_features without the finiteness test, which predict
-        makes one block at a time."""
-        X = np.asarray(X)
+        X = np.asarray(X)  # _check_finite converts, and names a huge int
         if X.ndim > 2:
             raise ValueError(f"expected one row or a 2-D table of rows, "
                              f"got an array of shape {X.shape}")
@@ -187,10 +182,7 @@ class TmpnnModel:
         if X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} feature columns, "
                              f"got {X.shape[1]}")
-        try:
-            return np.asarray(X, np.float64)
-        except OverflowError:  # a huge int: _check_finite's ValueError
-            return _check_finite("X", X)
+        return _check_finite("X", X)
 
     def _fill_states(self, X: np.ndarray, out: np.ndarray) -> None:
         """Write the start states of the checked rows X into out, a
@@ -355,15 +347,14 @@ def forward(model: TmpnnModel, x) -> tuple[np.ndarray, list[np.ndarray]]:
 def predict(model: TmpnnModel, X) -> np.ndarray:
     """Predict an (N, n_targets) matrix for an (N, n_features) input.
 
-    X is checked first, block by block (see TmpnnModel.initial_state for
-    the errors), so bad input fails before any map application.  The rows
-    then run through the p map applications in consecutive, evenly split
-    blocks whose monomial matrix fits a fixed budget of about 512 KiB.
-    Besides a float64 view of X (a copy only when X is not one already)
-    and the result, predict holds, whatever N and p are, a block's
-    finiteness mask during the check (all of X's when a block fails),
-    then a block's start states, the pair its p states alternate in, and
-    one monomial matrix that serves every step.  No block is a
+    X is checked whole first (see TmpnnModel.initial_state), so bad input
+    fails before any map application.  The rows then run through the p
+    map applications in consecutive, evenly split blocks whose monomial
+    matrix fits a fixed budget of about 512 KiB.  Besides a float64 view
+    of X (a copy only when X is not one already) and the result, predict
+    holds a boolean finiteness mask of X, during the check, and, whatever
+    N and p are, a block's start states, the pair its p states alternate
+    in, and one monomial matrix that serves every step.  No block is a
     single row unless N == 1, so each row's prediction is the one a single
     pass over all rows gives, to the last bit for bases within one BLAS
     block of the phi @ delta sum (a few hundred monomials; wider ones may
@@ -377,19 +368,14 @@ def predict(model: TmpnnModel, X) -> np.ndarray:
     block runs once more, checked after each map application (see
     _forward_states).
     """
-    X = model._features(X)
+    X = model._checked_features(X)
     n, m, dim = model.n_features, model.n_targets, model.dim
     size = model.basis.size
     N = X.shape[0]
+    out = np.empty((N, m))
     # even blocks: no block has a single row unless N == 1
     n_blocks = max(1, -(-N // _block_rows(model.basis)))
     bounds = [N * i // n_blocks for i in range(n_blocks + 1)]
-    # a block's finiteness mask at a time; only bad input gets the whole
-    # input's, from the check that names its first non-finite entry
-    for start, stop in zip(bounds, bounds[1:]):
-        if not np.isfinite(X[start:stop]).all():
-            _check_finite("X", X)
-    out = np.empty((N, m))
     longest = -(-N // n_blocks)
     # a block's start states, then the pair its p states alternate in
     buf = np.empty(3 * dim * longest)

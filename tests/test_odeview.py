@@ -170,10 +170,8 @@ def test_integrate_zero_field_returns_start():
     ode = OdeSystem(basis=basis, A=np.zeros((basis.size, 2)))
     z0 = np.array([0.7, -1.2])
     np.testing.assert_array_equal(integrate_reference(ode, z0, 50), z0)
-    # near the float maximum the overflow screen's sum of the state
-    # overflows though every entry is finite; the exact test behind it
-    # lets the step stand, quietly (the linear field: a square of 1e308
-    # overflows for real, and 0 * inf is nan)
+    # starts near the float maximum stand too, quietly (the linear
+    # field: a square of 1e308 overflows for real, and 0 * inf is nan)
     linear = OdeSystem(basis=build_basis(2, 1), A=np.zeros((3, 2)))
     for z0 in (np.array([1e308, 1e308]),
                np.array([[1e308, 1e308], [-1e308, 1e308], [1e308, -1e308],
