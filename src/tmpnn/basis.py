@@ -18,9 +18,22 @@ For d=2, k=2 the order is [1, z1, z2, z1^2, z1*z2, z2^2].
 
 Evaluation is feature-major: the monomials are built as (size, N) rows.
 One gather puts each monomial's first variable in its row, which
-completes degree 1, and each higher degree is then one in-place product
-of contiguous rows with the parent monomials of one degree less; the
-caller gets the (N, size) transposed view.
+completes degree 1; each higher monomial is then that row times its
+parent, the monomial of one degree less divided by that variable.  The
+caller gets the (N, size) transposed view.  Two kernels do the products:
+
+- below run_rows rows, each degree is one product of its contiguous rows
+  with a gathered copy of their parents (phi.take(parent));
+- from run_rows rows on, each run (below) is one product in place of its
+  contiguous rows with its contiguous parent rows, so no copy is made.
+
+The order makes the runs: within degree q the monomials whose first
+variable is j are contiguous, and their parents, the degree-(q-1)
+monomials whose variables are all >= j, are contiguous too and in the
+same order.  Both kernels multiply the same two numbers for each
+monomial, so the values are the same to the last bit whichever ran.
+run_rows is where each run's product covers _RUN_ENTRIES entries on
+average, enough that skipping the copy pays for the extra calls.
 """
 
 from __future__ import annotations
@@ -32,6 +45,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import _check_int
+
+# Entries an in-place run product must cover, on average, before the run
+# kernel is used: each product costs about 0.5 us a call, about what a
+# copy of 2048 float64 parent entries costs.
+_RUN_ENTRIES = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +77,13 @@ class MonomialBasis:
             no call re-slices the tables.
         jac_rows: per variable j, the read-only array of the monomials
             that contain z_j (the benchmark's tracer counts them).
+        runs: (dst, src) slice pairs covering the monomials of degree 2
+            and up, degrees ascending: the monomials in dst share their
+            first variable, and src holds their parents in the same
+            order, so parent[dst] is the range of src.
+        run_rows: the fewest rows evaluated with the runs,
+            ceil(_RUN_ENTRIES * len(runs) / (size - 1 - dim)); 0 for
+            order 1, which has no runs.
     """
 
     dim: int
@@ -70,6 +95,8 @@ class MonomialBasis:
     raised: np.ndarray
     degree_blocks: tuple[tuple[slice, np.ndarray], ...]
     jac_rows: tuple[np.ndarray, ...]
+    runs: tuple[tuple[slice, slice], ...]
+    run_rows: int
 
     @property
     def size(self) -> int:
@@ -140,10 +167,21 @@ def _build_basis(dim: int, order: int) -> MonomialBasis:
     degree_blocks = tuple(
         (block, parent[block])
         for block in (slice(a, b) for a, b in zip(bounds, bounds[1:])))
+    # a run: the monomials of one degree >= 2 with one first variable
+    runs = []
+    for _, group in itertools.groupby(range(dim + 1, size),
+                                      key=lambda i: (len(combos[i]),
+                                                     combos[i][0])):
+        dst = list(group)
+        src = index_of[combos[dst[0]][1:]]
+        runs.append((slice(dst[0], dst[-1] + 1),
+                     slice(src, src + len(dst))))
+    run_rows = -(-_RUN_ENTRIES * len(runs) // max(1, size - 1 - dim))
     return MonomialBasis(dim=dim, order=order, exponents=exponents,
                          degrees=degrees, parent=parent, parent_var=parent_var,
                          raised=raised, degree_blocks=degree_blocks,
-                         jac_rows=jac_rows)
+                         jac_rows=jac_rows, runs=tuple(runs),
+                         run_rows=run_rows)
 
 
 def eval_monomials_batch(basis: MonomialBasis, Z: np.ndarray,
@@ -162,8 +200,12 @@ def eval_monomials_batch(basis: MonomialBasis, Z: np.ndarray,
     Returns:
         (N, size) array; column i holds monomial i at every row.  It is
         the transposed view of the (size, N) array (out when given):
-        each monomial is one contiguous row there, so each degree is one
-        product.  The values do not depend on out.
+        each monomial is one contiguous row there.  Below
+        basis.run_rows rows each degree is one product with a gathered
+        copy of its parents; from run_rows on each run is one product in
+        place with its parent rows, which allocates nothing.  Both
+        multiply the same two numbers per entry, so the values depend
+        neither on the kernel nor on out.
     """
     phi = np.empty((basis.size, Z.shape[0])) if out is None else out
     # ndarray methods, not np.take or fancy indexing: the model and the
@@ -174,7 +216,12 @@ def eval_monomials_batch(basis: MonomialBasis, Z: np.ndarray,
     phi[0].fill(1.0)
     # a degree-1 monomial is its variable times the constant 1, exactly;
     # parents have lower degree, so each product reads finished rows
-    for block, parent in basis.degree_blocks[2:]:
-        rows = phi[block]
-        np.multiply(rows, phi.take(parent, 0), out=rows)
+    if Z.shape[0] < basis.run_rows:
+        for block, parent in basis.degree_blocks[2:]:
+            rows = phi[block]
+            np.multiply(rows, phi.take(parent, 0), out=rows)
+    else:
+        for dst, src in basis.runs:
+            rows = phi[dst]
+            rows *= phi[src]
     return phi.T

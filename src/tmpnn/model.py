@@ -251,8 +251,12 @@ class TrainReport:
 
 
 # Bytes of monomial matrix one predict block may hold: small enough that
-# phi stays in cache across the p map applications of a block.
-_PHI_BLOCK_BYTES = 512 * 1024
+# phi stays in cache across the p map applications of a block.  Unless
+# the basis has 60 runs or more (dim * (order - 1)), blocks this tall
+# reach basis.run_rows and take eval_monomials_batch's in-place kernel,
+# which keeps no copy of parent rows beside phi: 1 MiB of phi is about
+# the working set that 512 KiB of phi and that copy were.
+_PHI_BLOCK_BYTES = 1024 * 1024
 
 
 def _block_rows(basis: MonomialBasis) -> int:
@@ -350,7 +354,9 @@ def predict(model: TmpnnModel, X) -> np.ndarray:
     X is checked whole first (see TmpnnModel.initial_state), so bad input
     fails before any map application.  The rows then run through the p
     map applications in consecutive, evenly split blocks whose monomial
-    matrix fits a fixed budget of about 512 KiB.  Besides a float64 view
+    matrix fits a fixed budget of about 1 MiB; blocks that tall build
+    their monomials in place, with no copy of parent rows beside the
+    matrix (see eval_monomials_batch).  Besides a float64 view
     of X (a copy only when X is not one already) and the result, predict
     holds a boolean finiteness mask of X, during the check, and, whatever
     N and p are, a block's start states, the pair its p states alternate
@@ -358,7 +364,11 @@ def predict(model: TmpnnModel, X) -> np.ndarray:
     single row unless N == 1, so each row's prediction is the one a single
     pass over all rows gives, to the last bit for bases within one BLAS
     block of the phi @ delta sum (a few hundred monomials; wider ones may
-    round the last bits by row count, in one pass as in blocks).
+    round the last bits by row count, in one pass as in blocks) at the
+    default BLAS thread count.  With one BLAS thread OpenBLAS may sum the
+    last (rows mod 8) rows of a product in another order, so for some
+    narrower bases too (120 monomials at n=10, m=2, l=2, k=2; not 84 at
+    n=5, m=1, k=3) a block's last rows may round by its height.
 
     Raises ValueError on bad input (see TmpnnModel.initial_state), and
     DivergenceError, carrying step, row and state, when a row overflows.

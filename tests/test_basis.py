@@ -2,7 +2,8 @@
 against brute-force oracles."""
 
 import itertools
-from math import comb
+import tracemalloc
+from math import ceil, comb
 
 import numpy as np
 import pytest
@@ -203,6 +204,69 @@ def test_eval_into_a_buffer_returns_a_view_of_it_bit_for_bit():
                 assert np.shares_memory(got, buf)
                 np.testing.assert_array_equal(got, buf.T)
                 assert got.tobytes() == want.tobytes()
+
+
+def test_runs_cover_the_higher_degrees_with_contiguous_parents():
+    # the monomials of one degree that share a first variable are
+    # contiguous, and so are their parents, in the same order
+    for dim in range(1, 9):
+        for order in range(1, 6):
+            basis = build_basis(dim, order)
+            covered = []
+            for dst, src in basis.runs:
+                assert dst.stop - dst.start == src.stop - src.start > 0
+                covered.extend(range(dst.start, dst.stop))
+                np.testing.assert_array_equal(basis.parent[dst],
+                                              np.arange(src.start, src.stop))
+                assert len(set(basis.parent_var[dst].tolist())) == 1
+            # each monomial of degree >= 2 in exactly one run, and the
+            # runs in index order, so degrees ascending
+            assert covered == list(range(dim + 1, basis.size))
+            higher = basis.size - 1 - dim
+            assert basis.run_rows == (
+                ceil(2048 * len(basis.runs) / higher) if higher else 0)
+            if order == 1:
+                assert basis.runs == () and basis.run_rows == 0
+    assert len(build_basis(6, 3).runs) == 12
+    assert [build_basis(d, k).run_rows
+            for d, k in [(6, 3), (11, 3), (6, 4), (3, 5), (2, 2), (1, 3)]
+            ] == [320, 128, 182, 473, 1366, 2048]
+
+
+@pytest.mark.parametrize("dim, order", [(2, 2), (3, 5), (6, 3), (11, 3)])
+def test_both_kernels_give_the_same_bits(dim, order):
+    # run_rows + 5 rows in one call take the run kernel, the same rows in
+    # slices below run_rows the gather kernel; into fresh buffers and
+    # into the leading columns of wider ones
+    basis = build_basis(dim, order)
+    N = basis.run_rows + 5
+    Z = np.random.default_rng(dim).normal(0.0, 2.0, size=(N, dim))
+    step = basis.run_rows - 1
+    for wider in (0, 7):
+        def buffer(rows):
+            return np.full((basis.size, rows + wider), np.nan)[:, :rows]
+        runs = eval_monomials_batch(basis, Z, buffer(N))
+        for a in range(0, N, step):
+            rows = min(step, N - a)
+            taken = eval_monomials_batch(basis, Z[a:a + step], buffer(rows))
+            np.testing.assert_array_equal(taken, runs[a:a + step])
+        np.testing.assert_array_equal(runs, eval_monomials_batch(basis, Z))
+
+
+def test_the_run_kernel_allocates_nothing():
+    # the gather kernel copies the parents of a degree, 0.7 MB here;
+    # the states are feature-major, as the model keeps them, so the
+    # gather reads them in place too
+    basis = build_basis(6, 3)
+    Z = np.random.default_rng(5).normal(size=(6, 1560)).T
+    out = np.empty((basis.size, 1560))
+    tracemalloc.start()
+    try:
+        eval_monomials_batch(basis, Z, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 10
 
 
 def test_eval_rejects_bad_input(monkeypatch):
