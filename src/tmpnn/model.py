@@ -12,7 +12,11 @@ each layer contributes phi(Z_t)^T G_{t+1} to the shared-weight gradient,
 and G_t chains G_{t+1} through the layer Jacobian.  The Jacobian of an
 order-k polynomial map is a polynomial map of order k-1, so its
 coefficients are tabulated once per gradient step and every layer's
-Jacobian is one product with the lower-degree monomials.  The optimizer
+Jacobian is one product with the lower-degree monomials.  The chain runs
+in the forward pass's feature-major layout, so every product and the
+sum over state slots run along rows, in buffers a step reuses: beyond
+its residual and the residual's square, a step allocates nothing whose
+size grows with the batch.  The optimizer
 is Adamax (see optim); a step whose forward pass overflows, or whose
 loss or gradient is non-finite, is an exploding step, which is skipped
 with the learning rate halved for the rest of the epoch.
@@ -405,18 +409,26 @@ class _Workspace:
     """The arrays of a training step on up to rows rows.
 
     fit() allocates one per call, so its steps fault no fresh pages in;
-    a shorter batch uses leading views.  It holds the start states, then
-    the pair the p states alternate in (see _feature_major), the p
-    monomial matrices the backward pass reads, the layer Jacobians, the
-    targets, and the Jacobian coefficient table C with the column of
-    factors its gathered rows are scaled by.
+    a shorter batch uses leading views, laid out as fresh arrays of its
+    height (see _leading).  It holds the start states, then the pair the
+    p states alternate in (see _feature_major), the p monomial matrices
+    the backward pass reads, the targets, and the Jacobian coefficient
+    table C with the column of factors its gathered rows are scaled by.
+    The backward chain is feature-major too: G, the state gradient, and
+    E, the slot sum added to it, are (dim, rows), each layer Jacobian
+    jac is (dim * dim, rows), and prod takes each layer's (size, dim)
+    term of the weight gradient.  Besides the residual and its square, a
+    step allocates nothing whose size grows with the batch.
     """
 
     def __init__(self, model: TmpnnModel, rows: int):
         basis, dim = model.basis, model.dim
         self.states = np.empty(3 * dim * rows)
         self.phis = np.empty(model.steps * basis.size * rows)
-        self.jac = np.empty((rows, dim * dim))
+        self.G = np.empty(dim * rows)
+        self.E = np.empty(dim * rows)
+        self.jac = np.empty(dim * dim * rows)
+        self.prod = np.empty((basis.size, dim))
         self.Y = np.empty((rows, model.n_targets))
         # _step overwrites every row of C, so it starts empty
         low = basis.degree_slice(basis.order).start
@@ -436,42 +448,47 @@ def _step(model: TmpnnModel, ws: _Workspace, rows: int):
     # an overflowing loss or gradient fails the check at the end
     with np.errstate(over="ignore", invalid="ignore"):
         resid = final[:, n:n + m] - ws.Y[:rows]
-        loss = float(np.mean(resid ** 2))
+        loss = float((resid ** 2).mean())
 
-        G = np.zeros((rows, dim))
-        G[:, n:n + m] = (2.0 / resid.size) * resid
+        # G[j] is the loss gradient along slot j of the current state
+        G = _leading(ws.G, dim, rows)
+        G.fill(0.0)
+        np.multiply(resid.T, 2.0 / resid.size, out=G[n:n + m])
 
         # the layer Jacobian I + (dphi/dZ)^T delta is a polynomial in the
         # monomials of degree below k: the coefficient row (l, j) of
         # monomial l is (exponents[l, j] + 1) * delta[raised[l * dim + j]].
         # raised is valid by construction; "clip" skips numpy's buffering
-        np.take(delta, basis.raised, axis=0, out=ws.C, mode="clip")
+        delta.take(basis.raised, 0, ws.C, "clip")
         ws.C *= ws.mult
         C = ws.C.reshape(-1, dim * dim)
         low = C.shape[0]
-        J = ws.jac[:rows]
+        # J[j, o] is d(phi @ delta)[o] / dZ[j] at every row
+        J = _leading(ws.jac, dim * dim, rows)
+        E = _leading(ws.E, dim, rows)
 
         d_delta = np.zeros_like(delta)
         for t in range(model.steps - 1, -1, -1):
             phi = phis[t]
-            d_delta += phi @ G
+            d_delta += phi.dot(G.T, out=ws.prod)
             # G_0 is read only as the init_state gradient
             if t > 0 or model.init_trainable:
-                np.matmul(phi.T[:, :low], C, out=J)
-                G = G + np.einsum("njo,no->nj", J.reshape(-1, dim, dim), G)
+                C.T.dot(phi[:low], out=J)
+                np.einsum("jon,on->jn", J.reshape(dim, dim, rows), G, out=E)
+                G += E
 
         if model.reg_l1 > 0 or model.reg_l2 > 0:
             W = model.map.W
             if model.reg_l1 > 0:
-                loss += model.reg_l1 * float(np.sum(np.abs(W)))
+                loss += model.reg_l1 * float(np.abs(W).sum())
                 d_delta += model.reg_l1 * np.sign(W)
             if model.reg_l2 > 0:
-                loss += model.reg_l2 * float(np.sum(W ** 2))
+                loss += model.reg_l2 * float((W ** 2).sum())
                 d_delta += 2.0 * model.reg_l2 * W
 
     grads = {"delta": d_delta}
     if model.init_trainable:
-        grads["init_state"] = G[:, n:].sum(axis=0)
+        grads["init_state"] = G[n:].sum(axis=1)
     if not (math.isfinite(loss)
             and all(np.isfinite(g).all() for g in grads.values())):
         raise DivergenceError("the loss or a gradient became non-finite")
@@ -578,10 +595,11 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
         for start in range(0, n_rows, batch):
             idx = perm[start:start + batch]
             z0 = _feature_major(ws.states, len(idx), model.dim)
-            np.take(Z0, idx, axis=1, out=z0.T)
+            # idx is a permutation slice; "clip" skips numpy's buffering
+            Z0.take(idx, 1, z0.T, "clip")
             # init_trainable moves the start slots between steps
             z0[:, model.n_features:] = model.init_state
-            np.take(train.Y, idx, axis=0, out=ws.Y[:len(idx)])
+            train.Y.take(idx, 0, ws.Y[:len(idx)], "clip")
             try:
                 loss, grads = _step(model, ws, len(idx))
             except DivergenceError:

@@ -1,7 +1,8 @@
 """The per-call paths stay on numpy's C entry points.
 
-A one-row predict or an RK4 probe runs a few small array operations per
-map application, so a call through one of numpy's Python-level wrappers
+A one-row predict, an RK4 probe or a training step on a small state runs
+a few small array operations per map application, so a call through one
+of numpy's Python-level wrappers
 (np.take, np.mean, np.sum and the rest of fromnumeric.py) costs more
 than the arithmetic it wraps.  These tests profile each hot path and
 fail when it enters fromnumeric.py at all, and count the RK4 oracle's
@@ -14,8 +15,8 @@ import numpy as np
 import pytest
 
 import tmpnn.odeview
-from tmpnn import (OdeSystem, TmpnnModel, build_basis, extract_ode,
-                   integrate_reference, predict)
+from tmpnn import (Dataset, OdeSystem, TmpnnModel, build_basis, extract_ode,
+                   integrate_reference, loss_and_gradient, predict)
 from tmpnn.basis import eval_monomials_batch
 from tmpnn.errors import DivergenceError
 from tmpnn.model import _block_rows
@@ -65,6 +66,19 @@ def test_monomial_evaluation_and_predict_enter_no_wrapper(model):
     }
     for name, call in calls.items():
         assert fromnumeric_entries(call) == [], name
+
+
+def test_a_training_step_enters_no_wrapper(model):
+    # a plain model, and the fixture's trainable init_state, latent slot
+    # and L1 + L2 penalties, which add the init_state sum and the penalty
+    # sums to the step
+    rng = np.random.default_rng(2)
+    batch = Dataset(rng.uniform(-1.0, 1.0, (40, 3)),
+                    rng.uniform(-1.0, 1.0, (40, 1)), ["a", "b", "c"], ["y"])
+    plain = TmpnnModel.create(3, 1, order=3, steps=4)
+    for name, m in (("plain", plain), ("init, latent, L1 + L2", model)):
+        assert fromnumeric_entries(
+            lambda: loss_and_gradient(m, batch)) == [], name
 
 
 def test_reference_integration_enters_no_wrapper(model):

@@ -11,7 +11,8 @@ from tmpnn import (Dataset, DivergenceError, Scaler, TmpnnModel, TrainConfig,
                    TrainingDivergedError, fit, forward, identity_weights,
                    loss_and_gradient, metric_mse, predict)
 from tmpnn.basis import eval_monomials_batch
-from tmpnn.model import _block_rows, _forward_states
+from tmpnn.model import (_Workspace, _block_rows, _feature_major,
+                         _forward_states, _step)
 from tmpnn.optim import AdamaxState, adamax_step
 
 
@@ -219,6 +220,80 @@ def test_delta_gradient_does_not_depend_on_init_trainable():
         assert loss_off == loss_on
         assert set(off) == {"delta"} and set(on) == {"delta", "init_state"}
         np.testing.assert_array_equal(off["delta"], on["delta"])
+
+
+def reference_loss_and_gradient(model, batch):
+    """The row-major backward chain, with each layer Jacobian built by
+    the product rule from basis.exponents: d(z^a)/dz_j = a_j z^(a - e_j).
+    Returns (loss, delta gradient, init_state gradient)."""
+    n, m, dim = model.n_features, model.n_targets, model.dim
+    basis, delta, W = model.basis, model.map.delta, model.map.W
+    states = [model.initial_state(batch.X)]
+    for _ in range(model.steps):
+        states.append(states[-1]
+                      + eval_monomials_batch(basis, states[-1]) @ delta)
+    resid = states[-1][:, n:n + m] - batch.Y
+    loss = np.mean(resid ** 2) + model.reg_l1 * np.abs(W).sum() \
+        + model.reg_l2 * (W ** 2).sum()
+    G = np.zeros_like(states[0])
+    G[:, n:n + m] = 2.0 * resid / resid.size
+    d_delta = model.reg_l1 * np.sign(W) + 2.0 * model.reg_l2 * W
+    for Z in reversed(states[:-1]):
+        d_delta += eval_monomials_batch(basis, Z).T @ G
+        # dphi[r, i, j]: the derivative of monomial i along z_j at row r
+        dphi = np.empty((len(Z), basis.size, dim))
+        for j in range(dim):
+            lowered = np.maximum(basis.exponents - np.eye(dim, dtype=int)[j], 0)
+            dphi[:, :, j] = basis.exponents[:, j] * np.prod(
+                Z[:, None, :] ** lowered, axis=2)
+        G = G + np.einsum("rij,io,ro->rj", dphi, delta, G)
+    return loss, d_delta, G[:, n:].sum(axis=0)
+
+
+@pytest.mark.parametrize("n, m, l, k, p, rows, kwargs", [
+    (5, 1, 0, 3, 5, 256, {}),
+    (10, 2, 2, 2, 5, 300, {"init_trainable": True}),
+    (3, 2, 1, 3, 4, 77, {"reg_l1": 1e-3, "reg_l2": 1e-3}),
+    (4, 1, 1, 3, 4, 700, {"init_trainable": True, "reg_l2": 1e-3}),
+], ids=["friedman", "wide-init", "latent-l1-l2", "tall-batch"])
+def test_gradient_matches_a_row_major_product_rule_chain(n, m, l, k, p, rows,
+                                                         kwargs):
+    # the step's feature-major chain reads each layer Jacobian off the
+    # raised-index table C; the reference differentiates each monomial
+    rng = np.random.default_rng(28)
+    model = random_model(rng, n, m, l=l, k=k, p=p, scale=0.05, **kwargs)
+    model.init_state = rng.normal(0, 0.1, m + l)
+    batch = Dataset(rng.normal(0, 0.6, size=(rows, n)),
+                    rng.normal(0, 0.6, size=(rows, m)),
+                    [f"x{i}" for i in range(n)], [f"y{i}" for i in range(m)])
+    loss, grads = loss_and_gradient(model, batch)
+    ref_loss, ref_delta, ref_init = reference_loss_and_gradient(model, batch)
+    assert abs(loss - ref_loss) <= 1e-13 * ref_loss
+    pairs = [(grads["delta"], ref_delta)]
+    if model.init_trainable:
+        pairs.append((grads["init_state"], ref_init))
+    for got, want in pairs:
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_a_training_step_holds_nothing_batch_sized_but_the_residual():
+    # the row-major chain allocated phi @ G, the slot sum and G + ... per
+    # layer, 614 KiB at this size; the feature-major one works in the
+    # workspace, and the residual and its square take 64 KiB
+    rng = np.random.default_rng(29)
+    model = random_model(rng, 5, 1, k=3, p=5, scale=0.02)
+    rows = 4096
+    ws = _Workspace(model, rows)
+    model._fill_states(rng.uniform(-1.0, 1.0, size=(rows, 5)),
+                       _feature_major(ws.states, rows, model.dim))
+    ws.Y[:] = rng.normal(0, 0.5, size=(rows, 1))
+    tracemalloc.start()
+    try:
+        _step(model, ws, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2 ** 10
 
 
 def test_multi_target_width_is_structural():
