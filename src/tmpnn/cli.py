@@ -126,7 +126,12 @@ def cmd_train(args) -> int:
                 print(f"warning: the model diverged on the {split} split, "
                       "so its mse is inf and its r2 -inf", file=sys.stderr)
             metrics[f"{split}_mse"] = datamod.metric_mse(part.Y, pred)
-            metrics[f"{split}_r2"] = datamod.metric_r2(part.Y, pred)
+            try:
+                metrics[f"{split}_r2"] = datamod.metric_r2(part.Y, pred)
+            except ValueError as exc:  # a constant target column
+                print(f"warning: {exc} in the {split} split, so its r2 is "
+                      "nan", file=sys.stderr)
+                metrics[f"{split}_r2"] = math.nan
 
     def null(value):  # JSON has no inf: a non-finite number is written null
         return value if math.isfinite(value) else None
@@ -141,10 +146,11 @@ def cmd_train(args) -> int:
     iomod.save_model(model, args.out, feature_names=train.feature_names,
                      target_names=train.target_names, training=training_meta)
     if args.report is not None:
-        # fit records a held-out pass that diverged or overflowed as inf
+        # fit records as inf an epoch mean that overflowed and a held-out
+        # pass that diverged or overflowed
         iomod._write_json(args.report, {
             "epoch": list(range(report.epochs_run)),
-            "train_loss": report.train_losses,
+            "train_loss": [null(v) for v in report.train_losses],
             "valid_loss": report.valid_losses and [
                 null(v) for v in report.valid_losses],
             "best_epoch": report.best_epoch,

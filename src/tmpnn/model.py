@@ -33,7 +33,7 @@ from .basis import MonomialBasis, eval_monomials_batch
 from .data import Dataset, metric_mse
 from .errors import (DivergenceError, TrainingDivergedError, _check_finite,
                      _check_int, _check_real)
-from .optim import AdamaxState, adamax_step
+from .optim import ALPHA, AdamaxState, adamax_step
 from .taylor_map import TaylorMapWeights, identity_weights
 
 
@@ -210,14 +210,15 @@ def _check_sizes(n_features, n_targets, n_latent, steps) -> None:
 
 @dataclass
 class TrainConfig:
-    """Knobs for fit(), which minimizes MSE with AdamaxState's moment
-    constants: epochs >= 1, batch_size >= 1 or "full", learning_rate > 0,
-    shuffle_seed >= 0, early_stop None or (patience >= 1, min_delta >= 0).
+    """Knobs for fit(), which minimizes MSE with Adamax at learning_rate
+    (optim's published ALPHA by default): epochs >= 1, batch_size >= 1 or
+    "full", learning_rate > 0, shuffle_seed >= 0, early_stop None or
+    (patience >= 1, min_delta >= 0).
     A field that breaks this is a ValueError naming it (see errors)."""
 
     epochs: int = 1000
     batch_size: int | str = 256
-    learning_rate: float = 0.002
+    learning_rate: float = ALPHA
     shuffle_seed: int = 0
     early_stop: tuple[int, float] | None = None
 
@@ -258,8 +259,8 @@ class TrainReport:
 # phi stays in cache across the p map applications of a block.  Unless
 # the basis has 60 runs or more (dim * (order - 1)), blocks this tall
 # reach basis.run_rows and take eval_monomials_batch's in-place kernel,
-# which keeps no copy of parent rows beside phi: 1 MiB of phi is about
-# the working set that 512 KiB of phi and that copy were.
+# which keeps no copy of parent rows beside phi, so phi alone is the
+# block's working set.
 _PHI_BLOCK_BYTES = 1024 * 1024
 
 
@@ -549,10 +550,11 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
     in.  A diverging batch (see loss_and_gradient) is skipped and the
     learning rate halved for the remainder of that epoch; if every batch
     of an epoch diverges, TrainingDivergedError is raised.  A validation
-    or final metric pass that diverges records inf instead of failing the
-    run.  An epoch improves when its score, the validation loss (training
-    loss without a validation set), is below the best so far minus
-    min_delta (0 without early_stop); the last such epoch is best_epoch.
+    or final metric pass that diverges, and an epoch mean loss that
+    overflows, record inf instead of failing the run.  An epoch improves
+    when its score, the validation loss (training loss without a
+    validation set), is below the best so far minus min_delta (0
+    without early_stop); the last such epoch is best_epoch.
     With early_stop, which needs a validation set (ValueError otherwise),
     training stops after patience epochs without an improvement, and the
     weights from the best epoch are restored at the end.
@@ -560,8 +562,8 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
     The training features are checked and scaled once per call, and the
     arrays of a step (see _Workspace) are allocated once per call for
     the largest batch; each step gathers its rows into them.  The
-    result is the one a loop of loss_and_gradient and adamax_step over
-    the same batches gives, to the bit.
+    result is the one a loop of loss_and_gradient and adamax_step (at
+    lr=config.learning_rate) over the same batches gives, to the bit.
     """
     if config is None:
         config = TrainConfig()
@@ -583,7 +585,7 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
     ws = _Workspace(model, batch)
     rng = np.random.default_rng(config.shuffle_seed)
     params = [model.map.delta] + ([model.init_state] if model.init_trainable else [])
-    opt = AdamaxState.init(params, alpha=config.learning_rate)
+    opt = AdamaxState.init(params)
 
     report = TrainReport(valid_losses=[] if valid is not None else None)
     best, best_snapshot, since_improve = np.inf, None, 0
@@ -616,7 +618,8 @@ def fit(model: TmpnnModel, train: Dataset, valid: Dataset | None = None,
             raise TrainingDivergedError(
                 f"every batch diverged in epoch {epoch}; standardize the "
                 f"features or lower the learning rate")
-        report.train_losses.append(float(np.mean(losses)))
+        with np.errstate(over="ignore"):  # a mean that overflows is inf
+            report.train_losses.append(float(np.mean(losses)))
         report.epochs_run = epoch + 1
         if valid is not None:
             report.valid_losses.append(_metric_mse_or_inf(model, valid))

@@ -8,10 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from tmpnn import (TmpnnModel, gen_noisy_linear, load_model, metric_r2,
-                   predict, save_model, split_quantile)
-from tmpnn.cli import main
+from tmpnn import (TmpnnModel, TrainConfig, gen_noisy_linear, load_model,
+                   metric_r2, predict, save_model, split_quantile)
+from tmpnn.cli import build_parser, main
 from tmpnn.data import _BLOCK_ROWS, load_csv, load_table
+from tmpnn.optim import ALPHA
 
 
 def run(*argv):
@@ -134,6 +135,17 @@ def test_train_report_writes_an_overflowed_held_out_loss_as_null(tmp_path,
         test_mse = extras["training"]["test_mse"]
         assert (test_mse is None) == overflowed
         assert report["final"]["test_mse"] == test_mse
+    # every epoch's training-loss mean overflows: JSON has no inf, so the
+    # report writes each as null
+    data = tmp_path / "o.csv"
+    data.write_text("a,y\n" + "".join(
+        f"{0.1 * i!r},{1.3e154 * (1 + 0.01 * i)!r}\n" for i in range(6)))
+    assert run("train", "--data", data, "--targets", "y", "--batch", 1,
+               "--standardize", "off", "--epochs", 2, "--out", model_path,
+               "--report", report_path) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(report_path.read_text())["train_loss"] == [None, None]
+    assert load_model(model_path)[1]["training"]["train_mse"] is None
 
 
 def test_train_keeps_a_fit_whose_test_pass_diverges(tmp_path, capsys):
@@ -156,6 +168,23 @@ def test_train_keeps_a_fit_whose_test_pass_diverges(tmp_path, capsys):
     assert training["test_mse"] is None and training["test_r2"] is None
     assert training["epochs_run"] == 40
     assert "final_train_mse" not in training
+    # a constant target column leaves R^2 undefined on both splits: each
+    # scores nan with one warning line, and the fit is kept
+    data = tmp_path / "c.csv"
+    rows = np.random.default_rng(4).uniform(-1, 1, size=(40, 2))
+    data.write_text("a,b,y,k\n" + "".join(f"{a!r},{b!r},{a * b!r},2.0\n"
+                                          for a, b in rows.tolist()))
+    assert run("train", "--data", data, "--targets", "y,k", "--epochs", 5,
+               "--test-fraction", 0.25, "--out", model_path) == 0
+    out, err = capsys.readouterr()
+    assert "train_r2 nan" in out and "test_r2 nan" in out
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert "train split" in lines[0] and "test split" in lines[1]
+    assert all("R^2 is undefined" in line for line in lines)
+    training = load_model(model_path)[1]["training"]
+    assert training["train_r2"] is None and training["test_r2"] is None
+    assert np.isfinite([training["train_mse"], training["test_mse"]]).all()
 
 
 def test_train_quantile_split(tmp_path, capsys):
@@ -635,6 +664,13 @@ def test_train_without_a_data_source_is_a_usage_error(capsys):
     assert exc.value.code == 2
     assert "one of the arguments --data --gen is required" in (
         capsys.readouterr().err)
+
+
+def test_train_lr_default_is_adamax_alpha():
+    # the parser keeps the rate a literal, because parsing loads no numpy
+    args = build_parser().parse_args(["train", "--gen", "linear",
+                                      "--out", "m.json"])
+    assert args.lr == TrainConfig().learning_rate == ALPHA
 
 
 def test_raise_order_to_no_more_steps_names_the_flag(trained, tmp_path,

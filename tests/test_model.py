@@ -357,7 +357,7 @@ def test_fit_equals_a_loop_of_public_steps_bit_for_bit(kwargs):
     ref = new_model()
     ref.scaler = Scaler.fit(X)
     params = [ref.map.delta] + ([ref.init_state] if ref.init_trainable else [])
-    opt = AdamaxState.init(params, alpha=config.learning_rate)
+    opt = AdamaxState.init(params)
     order = np.random.default_rng(config.shuffle_seed)
     losses = []
     for _ in range(config.epochs):
@@ -365,7 +365,8 @@ def test_fit_equals_a_loop_of_public_steps_bit_for_bit(kwargs):
         epoch = []
         for start in range(0, 100, 32):
             loss, grads = loss_and_gradient(ref, data.take(perm[start:start + 32]))
-            params = adamax_step(opt, params, list(grads.values()))
+            params = adamax_step(opt, params, list(grads.values()),
+                                 lr=config.learning_rate)
             ref.map.delta = params[0]
             if ref.init_trainable:
                 ref.init_state = params[1]
@@ -584,6 +585,17 @@ def test_a_non_finite_loss_is_a_skipped_step_that_warns_nothing():
     assert report.final_train_mse == np.inf
     with pytest.raises(DivergenceError, match="non-finite"):
         loss_and_gradient(model, data.take(np.arange(21)))
+    # rows 0-3 have finite losses whose sum overflows (rows 4 and 5 overflow
+    # alone): each epoch's mean is inf, with no overflow warning
+    X = np.arange(6.0)[:, None] / 10
+    Y = 1.3e154 * (1 + 0.01 * np.arange(6.0))[:, None]
+    model = TmpnnModel.create(1, 1, order=2, steps=2, standardize=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = fit(model, Dataset(X, Y, ["a"], ["y"]),
+                     config=TrainConfig(epochs=2, batch_size=1))
+    assert report.train_losses == [np.inf, np.inf]
+    assert report.diverged_steps == 4
 
 
 def test_scaler_rejects_non_finite_parameters():
