@@ -312,10 +312,14 @@ def _write_text(path, chunks) -> None:
 
 def split_random(dataset: Dataset, test_fraction: float,
                  seed: int = 0) -> tuple[Dataset, Dataset]:
-    """Disjoint, exhaustive random train/test split."""
+    """Disjoint, exhaustive random train/test split; each side gets at
+    least one row, so the dataset needs two (a ValueError otherwise)."""
     _check_real("test_fraction", test_fraction, 0, 1, strict=True)
     _check_int("seed", seed, 0)
     n = dataset.n_samples
+    if n < 2:
+        raise ValueError(f"a random split needs at least 2 rows, the "
+                         f"dataset has {n}")
     n_test = int(round(n * test_fraction))
     n_test = min(max(n_test, 1), n - 1)
     perm = np.random.default_rng(seed).permutation(n)

@@ -84,7 +84,9 @@ def _check_finite(name: str, value, shape=None):
             want not in (None, got) for want, got in zip(shape, value.shape))):
         raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
     finite = np.isfinite(value)
-    if not finite.all():  # the method: one-row predict runs this check
+    # the ufunc's reduce, not ndarray.all's Python wrapper: every predict
+    # runs this check
+    if not np.logical_and.reduce(finite, None):
         at = tuple(np.argwhere(~finite)[0].tolist())
         place = (f"row {at[0]}, column {at[1]}" if len(at) == 2 else
                  f"entry {at[0]}" if len(at) == 1 else f"index {at}")

@@ -182,7 +182,8 @@ class TmpnnModel:
         if X.ndim > 2:
             raise ValueError(f"expected one row or a 2-D table of rows, "
                              f"got an array of shape {X.shape}")
-        X = np.atleast_2d(X)
+        if X.ndim < 2:  # a method, not np.atleast_2d's Python wrapper
+            X = X.reshape(1, -1)
         if X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} feature columns, "
                              f"got {X.shape[1]}")
@@ -285,16 +286,23 @@ def _feature_major(buf: np.ndarray, *shape: int) -> np.ndarray:
     return _leading(buf, *lead, dim, rows).swapaxes(-1, -2)
 
 
-def _forward_states(model: TmpnnModel, Z0: np.ndarray,
-                    out: np.ndarray | None = None, phis=None,
+def _forward_states(model: TmpnnModel, Z0: np.ndarray, out=None, phis=None,
                     first_row: int = 0) -> list[np.ndarray]:
     """Run the p map applications on a batch of (N, dim) start states.
 
-    State t+1 goes into out[t % len(out)], two or more (N, dim) buffers,
-    and the monomial matrix of state t into phis[t % len(phis)], (size, N)
-    buffers.  By default out holds all p states and one fresh buffer
-    serves every step's phis.  Returns [Z0, *out], the trajectory, when
-    out holds all p states, and [Z0, final state] otherwise.
+    State t+1 goes into out[t % len(out)], two or more feature-major
+    (N, dim) buffers (see _feature_major), and the monomial matrix of
+    state t into phis[t % len(phis)], (size, N) buffers.  By default out
+    holds all p states and one fresh buffer serves every step's phis.
+    Returns [Z0, *out], the trajectory, when out holds all p states, and
+    [Z0, final state] otherwise.
+
+    This is the one forward loop: predict runs it on each block, forward
+    with the default out, and a training step in its workspace.  The
+    buffers each application reads and writes are bound once per call,
+    so the loop builds no view, and the map product is
+    delta.T.dot(phi.T, out=after.T): numpy's dot, which costs less per
+    call than the matmul ufunc and gave its bits on every shape tried.
 
     Only the final state is checked: a non-finite entry stays non-finite
     under Z + phi @ delta, so that one test finds every pass that
@@ -304,27 +312,35 @@ def _forward_states(model: TmpnnModel, Z0: np.ndarray,
     first_row, when the batch is a block of a larger input) and a copy of
     that row's input state.
     """
-    delta, basis, p = model.map.delta, model.basis, model.steps
+    basis, p = model.basis, model.steps
     if out is None:
         out = _feature_major(np.empty(p * Z0.size), p, *Z0.shape)
     if phis is None:
         phis = [np.empty((basis.size, Z0.shape[0]))]
+    # bound once: application t indexes these lists and builds no view;
+    # each state is written by the product as its (dim, N) transpose
+    out, phis = list(out), list(phis)
+    out_T = [after.T for after in out]
+    k, j = len(out), len(phis)
+    weights = model.map.delta.T
     with np.errstate(over="ignore", invalid="ignore"):
         for check in (False, True):
             Z = Z0
             for t in range(p):
-                phi = eval_monomials_batch(basis, Z, phis[t % len(phis)])
-                after = np.matmul(phi, delta, out=out[t % len(out)])
+                phi, after = phis[t % j], out[t % k]
+                eval_monomials_batch(basis, Z, phi)
+                weights.dot(phi, out=out_T[t % k])
                 after += Z
-                if check and not np.isfinite(after).all():
-                    # C methods keep a one-row predict off fromnumeric
-                    row = int(np.isfinite(after).all(axis=1).argmin())
+                if check and not np.logical_and.reduce(np.isfinite(after),
+                                                       None):
+                    row = int(np.logical_and.reduce(np.isfinite(after),
+                                                    1).argmin())
                     raise DivergenceError(
                         f"state became non-finite at map application {t + 1} "
                         f"(batch row {first_row + row})", step=t + 1,
                         row=first_row + row, state=Z[row].copy())
                 Z = after
-            if check or np.isfinite(Z).all():
+            if check or np.logical_and.reduce(np.isfinite(Z), None):
                 return [Z0, *out] if len(out) == p else [Z0, Z]
 
 
@@ -365,7 +381,14 @@ def predict(model: TmpnnModel, X) -> np.ndarray:
     of X (a copy only when X is not one already) and the result, predict
     holds a boolean finiteness mask of X, during the check, and, whatever
     N and p are, a block's start states, the pair its p states alternate
-    in, and one monomial matrix that serves every step.  No block is a
+    in, and one monomial matrix that serves every step.  The blocks are
+    planned once per call: a call of one block (N up to _block_rows, so
+    every 1-row and 256-row request) allocates these at its exact height
+    and returns a copy of the target slots of its final state, and a
+    longer call views them once per block height (an even split has at
+    most two).  Each map application's product is one ndarray.dot (see
+    _forward_states), so a one-row call runs numpy's C entry points
+    only, inside one np.errstate.  No block is a
     single row unless N == 1, so each row's prediction is the one a single
     pass over all rows gives, to the last bit for bases within one BLAS
     block of the phi @ delta sum (a few hundred monomials; wider ones may
@@ -387,21 +410,30 @@ def predict(model: TmpnnModel, X) -> np.ndarray:
     n, m, dim = model.n_features, model.n_targets, model.dim
     size = model.basis.size
     N = X.shape[0]
-    out = np.empty((N, m))
-    # even blocks: no block has a single row unless N == 1
-    n_blocks = max(1, -(-N // _block_rows(model.basis)))
-    bounds = [N * i // n_blocks for i in range(n_blocks + 1)]
+    most = _block_rows(model.basis)
+    if N <= most:
+        # one block, its buffers at its exact height: the start states,
+        # the pair the p states alternate in, and the monomial matrix
+        z0, *states = np.empty((3, dim, N)).swapaxes(1, 2)
+        model._fill_states(X, z0)
+        final = _forward_states(model, z0, states, [np.empty((size, N))])[-1]
+        return final[:, n:n + m].copy()
+    # even blocks: no block has a single row; they have at most two
+    # heights, and each height's views are built once
+    n_blocks = -(-N // most)
     longest = -(-N // n_blocks)
-    # a block's start states, then the pair its p states alternate in
+    bounds = [N * i // n_blocks for i in range(n_blocks + 1)]
     buf = np.empty(3 * dim * longest)
     phi = np.empty(size * longest)
+    views = {}
+    for rows in {b - a for a, b in zip(bounds, bounds[1:])}:
+        z0, *states = _feature_major(buf, 3, rows, dim)
+        views[rows] = z0, states, [_leading(phi, size, rows)]
+    out = np.empty((N, m))
     for start, stop in zip(bounds, bounds[1:]):
-        rows = stop - start
-        states = _feature_major(buf, 3, rows, dim)
-        model._fill_states(X[start:stop], states[0])
-        final = _forward_states(model, states[0], states[1:],
-                                [_leading(phi, size, rows)],
-                                first_row=start)[-1]
+        z0, states, phis = views[stop - start]
+        model._fill_states(X[start:stop], z0)
+        final = _forward_states(model, z0, states, phis, first_row=start)[-1]
         out[start:stop] = final[:, n:n + m]
     return out
 
@@ -449,7 +481,10 @@ def _step(model: TmpnnModel, ws: _Workspace, rows: int):
     # an overflowing loss or gradient fails the check at the end
     with np.errstate(over="ignore", invalid="ignore"):
         resid = final[:, n:n + m] - ws.Y[:rows]
-        loss = float((resid ** 2).mean())
+        # ufunc reduces, not ndarray methods: mean, sum and all enter
+        # numpy's Python wrappers; this is the sum and count mean divides
+        sq = resid ** 2
+        loss = float(np.add.reduce(sq, None) / sq.size)
 
         # G[j] is the loss gradient along slot j of the current state
         G = _leading(ws.G, dim, rows)
@@ -468,7 +503,7 @@ def _step(model: TmpnnModel, ws: _Workspace, rows: int):
         J = _leading(ws.jac, dim * dim, rows)
         E = _leading(ws.E, dim, rows)
 
-        d_delta = np.zeros_like(delta)
+        d_delta = np.zeros(delta.shape)
         for t in range(model.steps - 1, -1, -1):
             phi = phis[t]
             d_delta += phi.dot(G.T, out=ws.prod)
@@ -481,17 +516,18 @@ def _step(model: TmpnnModel, ws: _Workspace, rows: int):
         if model.reg_l1 > 0 or model.reg_l2 > 0:
             W = model.map.W
             if model.reg_l1 > 0:
-                loss += model.reg_l1 * float(np.abs(W).sum())
+                loss += model.reg_l1 * float(np.add.reduce(np.abs(W), None))
                 d_delta += model.reg_l1 * np.sign(W)
             if model.reg_l2 > 0:
-                loss += model.reg_l2 * float((W ** 2).sum())
+                loss += model.reg_l2 * float(np.add.reduce(W ** 2, None))
                 d_delta += 2.0 * model.reg_l2 * W
 
     grads = {"delta": d_delta}
     if model.init_trainable:
-        grads["init_state"] = G[n:].sum(axis=1)
-    if not (math.isfinite(loss)
-            and all(np.isfinite(g).all() for g in grads.values())):
+        grads["init_state"] = np.add.reduce(G[n:], 1)
+    if not (math.isfinite(loss) and all(
+            np.logical_and.reduce(np.isfinite(g), None)
+            for g in grads.values())):
         raise DivergenceError("the loss or a gradient became non-finite")
     return loss, grads
 

@@ -312,6 +312,9 @@ def test_split_random_clamps_tiny_sides():
         split_random(ds, 0.0)
     with pytest.raises(ValueError):
         split_random(ds, 1.0)
+    # one row cannot give both sides a row: the error names the count
+    with pytest.raises(ValueError, match="at least 2 rows.* has 1"):
+        split_random(gen_friedman1(1, seed=0), 0.5)
 
 
 def test_split_quantile_on_feature_and_target():

@@ -76,6 +76,8 @@ def test_predict_rows_match_forward():
     for i in range(7):
         single, _ = forward(model, X[i])
         np.testing.assert_allclose(batch[i], single, rtol=1e-13, atol=1e-15)
+        # a one-row predict is forward's arithmetic: the same bits
+        np.testing.assert_array_equal(predict(model, X[i])[0], single)
 
 
 def test_chunked_predict_equals_one_unchunked_pass():
@@ -86,6 +88,8 @@ def test_chunked_predict_equals_one_unchunked_pass():
     for n, m, l, k in [(5, 1, 0, 3), (10, 2, 2, 2)]:
         model = random_model(rng, n, m, l=l, k=k, p=5, scale=0.02)
         C = _block_rows(model.basis)
+        # no rows: an empty block plan, not a division by zero
+        assert predict(model, np.empty((0, n))).shape == (0, m)
         for N in (1, 2, C - 1, C, C + 1, 2 * C + 1):
             X = rng.uniform(-1.0, 1.0, size=(N, n))
             states = _forward_states(model, model.initial_state(X))
