@@ -17,6 +17,7 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
+import math
 import sys
 
 from .errors import TmpnnError, _check_int, _check_real
@@ -100,8 +101,6 @@ def _split(args, dataset):
 
 
 def cmd_train(args) -> int:
-    import math
-
     from . import data as datamod, io as iomod, model as modelmod
     train, test = _split(args, _load_training_data(args))
 
@@ -209,12 +208,21 @@ def cmd_evaluate(args) -> int:
                                 dataset.Y, model, extras, table.headed)
     pred = modelmod.predict(model, X)
     print(f"rows {dataset.n_samples}")
+    constant = []  # scored as train scores a split: r2 nan, one warning
     for j, name in enumerate(targets):
         mse = datamod.metric_mse(Y[:, j], pred[:, j])
-        r2 = datamod.metric_r2(Y[:, j], pred[:, j])
+        try:
+            r2 = datamod.metric_r2(Y[:, j], pred[:, j])
+        except ValueError:  # a constant target column
+            r2 = math.nan
+            constant.append(name)
         print(f"target {name} mse {mse:.6g} r2 {r2:.6g}")
-    print(f"overall mse {datamod.metric_mse(Y, pred):.6g} "
-          f"r2 {datamod.metric_r2(Y, pred):.6g}")
+    r2 = math.nan if constant else datamod.metric_r2(Y, pred)
+    print(f"overall mse {datamod.metric_mse(Y, pred):.6g} r2 {r2:.6g}")
+    if constant:
+        print(f"warning: {args.data}: R^2 is undefined for the constant "
+              f"target column {', '.join(constant)}, so its r2 and the "
+              "overall r2 are nan", file=sys.stderr)
     return 0
 
 

@@ -20,10 +20,11 @@ class DivergenceError(TmpnnError):
 
     Attributes:
         step: index of the map application that produced the bad state
-            (1-based: step t means the t-th application), or None.
+            (1-based: step t means the t-th application; 0 when the start
+            state itself is not finite), or None.
         row: index of the first offending sample in a batched call, or None.
-        state: the layer input (an array) that led to the non-finite output,
-            or None.
+        state: the layer input (an array) that led to the non-finite output
+            (at step 0, the start state itself), or None.
     """
 
     def __init__(self, message: str, *, step: int | None = None,

@@ -304,13 +304,18 @@ def _forward_states(model: TmpnnModel, Z0: np.ndarray, out=None, phis=None,
     delta.T.dot(phi.T, out=after.T): numpy's dot, which costs less per
     call than the matmul ufunc and gave its bits on every shape tried.
 
-    Only the final state is checked: a non-finite entry stays non-finite
-    under Z + phi @ delta, so that one test finds every pass that
-    diverges.  A diverged pass runs again into the same buffers, checked
-    after each application, and raises DivergenceError with the first
-    step to make an entry non-finite, its first non-finite row (plus
-    first_row, when the batch is a block of a larger input) and a copy of
-    that row's input state.
+    The caller holds the np.errstate scope that keeps an overflow from
+    warning, one per call around its scaling and this loop: predict,
+    forward and the training step each open it once.  Only the final
+    state is checked: a non-finite entry stays non-finite under
+    Z + phi @ delta, so that one test finds every pass that diverges,
+    a start state that is not finite included.  A diverged pass runs
+    again into the same buffers, its start states checked first and each
+    state after its application, and raises DivergenceError with the
+    first step to make an entry non-finite (0 for a start state: a
+    standardized feature that overflows float64), its first non-finite
+    row (plus first_row, when the batch is a block of a larger input)
+    and a copy of that row's input state.
     """
     basis, p = model.basis, model.steps
     if out is None:
@@ -323,25 +328,32 @@ def _forward_states(model: TmpnnModel, Z0: np.ndarray, out=None, phis=None,
     out_T = [after.T for after in out]
     k, j = len(out), len(phis)
     weights = model.map.delta.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        for check in (False, True):
-            Z = Z0
-            for t in range(p):
-                phi, after = phis[t % j], out[t % k]
-                eval_monomials_batch(basis, Z, phi)
-                weights.dot(phi, out=out_T[t % k])
-                after += Z
-                if check and not np.logical_and.reduce(np.isfinite(after),
-                                                       None):
-                    row = int(np.logical_and.reduce(np.isfinite(after),
-                                                    1).argmin())
-                    raise DivergenceError(
-                        f"state became non-finite at map application {t + 1} "
-                        f"(batch row {first_row + row})", step=t + 1,
-                        row=first_row + row, state=Z[row].copy())
-                Z = after
-            if check or np.logical_and.reduce(np.isfinite(Z), None):
-                return [Z0, *out] if len(out) == p else [Z0, Z]
+    for check in (False, True):
+        Z = Z0
+        if check and (row := _non_finite_row(Z0)) >= 0:
+            raise DivergenceError(
+                f"a standardized feature overflows float64 in the start "
+                f"state (batch row {first_row + row})", step=0,
+                row=first_row + row, state=Z0[row].copy())
+        for t in range(p):
+            phi, after = phis[t % j], out[t % k]
+            eval_monomials_batch(basis, Z, phi)
+            weights.dot(phi, out=out_T[t % k])
+            after += Z
+            if check and (row := _non_finite_row(after)) >= 0:
+                raise DivergenceError(
+                    f"state became non-finite at map application {t + 1} "
+                    f"(batch row {first_row + row})", step=t + 1,
+                    row=first_row + row, state=Z[row].copy())
+            Z = after
+        if check or np.logical_and.reduce(np.isfinite(Z), None):
+            return [Z0, *out] if len(out) == p else [Z0, Z]
+
+
+def _non_finite_row(Z: np.ndarray) -> int:
+    """Index of the first row of Z holding a non-finite entry, or -1."""
+    finite = np.logical_and.reduce(np.isfinite(Z), 1)
+    return -1 if np.logical_and.reduce(finite, None) else int(finite.argmin())
 
 
 def forward(model: TmpnnModel, x) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -359,11 +371,14 @@ def forward(model: TmpnnModel, x) -> tuple[np.ndarray, list[np.ndarray]]:
 
     Raises:
         ValueError: on a wrong length or a non-finite feature.
-        DivergenceError: if the trajectory overflows; carries the step.
+        DivergenceError: if the trajectory overflows; carries the step,
+            0 when a standardized feature overflows float64.
     """
     if np.asarray(x).ndim != 1:  # initial_state converts, and names a huge int
         raise ValueError("forward takes a single feature vector")
-    states = _forward_states(model, model.initial_state(x))
+    # one scope: an overflow in the scaling or the map is a DivergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = _forward_states(model, model.initial_state(x))
     n, m = model.n_features, model.n_targets
     prediction = states[-1][0, n:n + m].copy()
     return prediction, [s[0] for s in states]
@@ -399,7 +414,8 @@ def predict(model: TmpnnModel, X) -> np.ndarray:
     n=5, m=1, k=3) a block's last rows may round by its height.
 
     Raises ValueError on bad input (see TmpnnModel.initial_state), and
-    DivergenceError, carrying step, row and state, when a row overflows.
+    DivergenceError, carrying step, row and state, when a row overflows:
+    at step 0 when a standardized feature of it overflows float64.
     When rows in several blocks overflow, the error is the first block's
     (in row order): its earliest overflowing step, and the first row of
     that block to overflow there; row is the index into X.  A diverged
@@ -411,31 +427,36 @@ def predict(model: TmpnnModel, X) -> np.ndarray:
     size = model.basis.size
     N = X.shape[0]
     most = _block_rows(model.basis)
-    if N <= most:
-        # one block, its buffers at its exact height: the start states,
-        # the pair the p states alternate in, and the monomial matrix
-        z0, *states = np.empty((3, dim, N)).swapaxes(1, 2)
-        model._fill_states(X, z0)
-        final = _forward_states(model, z0, states, [np.empty((size, N))])[-1]
-        return final[:, n:n + m].copy()
-    # even blocks: no block has a single row; they have at most two
-    # heights, and each height's views are built once
-    n_blocks = -(-N // most)
-    longest = -(-N // n_blocks)
-    bounds = [N * i // n_blocks for i in range(n_blocks + 1)]
-    buf = np.empty(3 * dim * longest)
-    phi = np.empty(size * longest)
-    views = {}
-    for rows in {b - a for a, b in zip(bounds, bounds[1:])}:
-        z0, *states = _feature_major(buf, 3, rows, dim)
-        views[rows] = z0, states, [_leading(phi, size, rows)]
-    out = np.empty((N, m))
-    for start, stop in zip(bounds, bounds[1:]):
-        z0, states, phis = views[stop - start]
-        model._fill_states(X[start:stop], z0)
-        final = _forward_states(model, z0, states, phis, first_row=start)[-1]
-        out[start:stop] = final[:, n:n + m]
-    return out
+    # one scope for the call: an overflow in the scaling or the map is a
+    # DivergenceError (see _forward_states), not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if N <= most:
+            # one block, its buffers at its exact height: the start states,
+            # the pair the p states alternate in, and the monomial matrix
+            z0, *states = np.empty((3, dim, N)).swapaxes(1, 2)
+            model._fill_states(X, z0)
+            final = _forward_states(model, z0, states,
+                                    [np.empty((size, N))])[-1]
+            return final[:, n:n + m].copy()
+        # even blocks: no block has a single row; they have at most two
+        # heights, and each height's views are built once
+        n_blocks = -(-N // most)
+        longest = -(-N // n_blocks)
+        bounds = [N * i // n_blocks for i in range(n_blocks + 1)]
+        buf = np.empty(3 * dim * longest)
+        phi = np.empty(size * longest)
+        views = {}
+        for rows in {b - a for a, b in zip(bounds, bounds[1:])}:
+            z0, *states = _feature_major(buf, 3, rows, dim)
+            views[rows] = z0, states, [_leading(phi, size, rows)]
+        out = np.empty((N, m))
+        for start, stop in zip(bounds, bounds[1:]):
+            z0, states, phis = views[stop - start]
+            model._fill_states(X[start:stop], z0)
+            final = _forward_states(model, z0, states, phis,
+                                    first_row=start)[-1]
+            out[start:stop] = final[:, n:n + m]
+        return out
 
 
 class _Workspace:
@@ -477,9 +498,10 @@ def _step(model: TmpnnModel, ws: _Workspace, rows: int):
     delta = model.map.delta
     phis = _leading(ws.phis, model.steps, basis.size, rows)
     states = _feature_major(ws.states, 3, rows, dim)
-    final = _forward_states(model, states[0], states[1:], phis)[-1]
-    # an overflowing loss or gradient fails the check at the end
+    # one scope for the step: an overflowing forward pass raises there,
+    # and an overflowing loss or gradient fails the check at the end
     with np.errstate(over="ignore", invalid="ignore"):
+        final = _forward_states(model, states[0], states[1:], phis)[-1]
         resid = final[:, n:n + m] - ws.Y[:rows]
         # ufunc reduces, not ndarray methods: mean, sum and all enter
         # numpy's Python wrappers; this is the sum and count mean divides

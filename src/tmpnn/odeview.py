@@ -165,12 +165,14 @@ def integrate_reference(ode: OdeSystem, z0, n_steps: int = 1000,
     z = np.array(start.reshape(-1, ode.dim))
     # one workspace per call: the stages' monomials side by side, the
     # stage state and the next state (C-contiguous, as ndarray.dot's out
-    # must be) and the zeros the finiteness test multiplies the state by
+    # must be), the update table and the zeros the finiteness test
+    # multiplies the state by; np.empty, not the Python-level empty_like
     basis, size = ode.basis, ode.basis.size
     phis = np.empty((4 * size, z.shape[0]))
     first, *rest = [phis[i * size:(i + 1) * size] for i in range(4)]
-    stage = np.empty_like(z)
-    new = np.empty_like(z)
+    stage = np.empty(z.shape)
+    new = np.empty(z.shape)
+    update = np.empty((4 * size, ode.dim))
     zeros = np.zeros(z.size)
     # overflow, of the coefficient tables too, surfaces as a structured
     # DivergenceError, not a warning
@@ -181,8 +183,8 @@ def integrate_reference(ode: OdeSystem, z0, n_steps: int = 1000,
         # z + phi_i @ (c_i h A), and the step adds the four stages'
         # monomials times [h/6 A; h/3 A; h/3 A; h/6 A] in one product
         stages = tuple(zip(((0.5 * h) * A, (0.5 * h) * A, h * A), rest))
-        update = np.concatenate([(h / 6.0) * A, (h / 3.0) * A,
-                                 (h / 3.0) * A, (h / 6.0) * A])
+        for i, c in enumerate((h / 6.0, h / 3.0, h / 3.0, h / 6.0)):
+            np.multiply(A, c, out=update[i * size:(i + 1) * size])
         for step in range(n_steps):
             phi = eval_monomials_batch(basis, z, first)
             for offset, block in stages:

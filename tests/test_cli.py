@@ -385,6 +385,13 @@ def test_predict_rejects_non_finite_row(tmp_path, trained, capsys):
     assert run("predict", "--model", model_path, "--data", features) == 1
     err = capsys.readouterr().err
     assert "row 2" in err and "learning rate" not in err
+    # finite, but past float64 once standardized (the scale is below 1):
+    # it used to warn "overflow encountered in divide", then blame the map
+    features.write_text("x\n0.5\n1e308\n")
+    assert run("predict", "--model", model_path, "--data", features) == 1
+    assert capsys.readouterr().err == (
+        "error: a standardized feature overflows float64 in the start state "
+        "(batch row 1)\n")
 
 
 def test_evaluate_prints_per_target_metrics(trained, capsys):
@@ -398,6 +405,19 @@ def test_evaluate_prints_per_target_metrics(trained, capsys):
     assert run("evaluate", "--model", model_path, "--data", data_csv,
                "--split-quantile", "x:0.75") == 0
     assert "rows 50" in capsys.readouterr().out
+
+    # a constant target column is scored as train scores a split: it used
+    # to print "rows 3", then exit 1 on the undefined R^2
+    constant = data_csv.parent / "constant.csv"
+    constant.write_text("x,y\n0.1,1\n0.2,1\n0.3,1\n")
+    assert run("evaluate", "--model", model_path, "--data", constant) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[0] == "rows 3"
+    assert lines[1].startswith("target y mse ") and lines[1].endswith(" r2 nan")
+    assert lines[2].startswith("overall mse ") and lines[2].endswith(" r2 nan")
+    assert err.count("\n") == 1 and str(constant) in err
+    assert "constant target column y" in err
 
 
 @pytest.fixture()
@@ -468,6 +488,11 @@ def test_evaluate_matches_targets_by_name(tmp_path, capsys):
     capsys.readouterr()
     assert run("evaluate", "--model", model_path, "--data", headerless) == 1
     assert "--targets" in capsys.readouterr().err
+    # a column --targets names is one the file must have: no hint then
+    assert run("evaluate", "--model", model_path, "--data", data,
+               "--targets", "y1,z") == 1
+    err = capsys.readouterr().err
+    assert "'z'" in err and "--targets" not in err
     assert run("evaluate", "--model", model_path, "--data", headerless,
                "--targets", 2) == 0
     assert capsys.readouterr().out == want

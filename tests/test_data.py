@@ -29,6 +29,8 @@ def test_dataset_validation():
         Dataset(X, np.zeros(3), ["a"], ["y"])
     with pytest.raises(ValueError):
         Dataset(X, np.zeros(3), ["a", "b"], [])
+    with pytest.raises(ValueError, match="dataset is empty"):
+        Dataset(np.zeros((0, 2)), np.zeros((0, 1)), ["a", "b"], ["y"])
 
 
 def test_take_subsets_rows():

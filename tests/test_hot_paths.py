@@ -6,8 +6,9 @@ of numpy's Python-level wrappers (np.take, np.mean and the rest of
 fromnumeric.py, or ndarray.all and ndarray.mean, whose bodies are in
 _methods.py) costs more than the arithmetic it wraps.  These tests
 profile each hot path and record every numpy function written in Python
-that it enters: a one-row predict or forward enters only np.errstate's
-(_ufunc_config.py), and what a path enters does not grow with its number
+that it enters: a one-row predict or forward and an RK4 probe enter only
+np.errstate's (_ufunc_config.py), a training step enters one np.errstate,
+and what a path enters does not grow with its number
 of map applications or RK4 steps, except the training step's np.einsum,
 one per layer, which has no public C entry.  They also count the RK4
 oracle's field evaluations."""
@@ -102,17 +103,19 @@ def test_a_training_step_enters_no_wrapper(model):
     batch = _batch(np.random.default_rng(2), 40)
     plain = TmpnnModel.create(3, 1, order=3, steps=4)
     for name, m in (("plain", plain), ("init, latent, L1 + L2", model)):
-        assert modules(lambda: loss_and_gradient(m, batch)) <= {
+        entered = numpy_entries(lambda: loss_and_gradient(m, batch))
+        assert {module for module, _ in entered} <= {
             "_ufunc_config", "einsumfunc"}, name
+        # one np.errstate spans the forward pass, the loss and the backward
+        assert entered.count(("_ufunc_config", "__enter__")) == 1, name
 
 
 def test_reference_integration_enters_no_wrapper(model):
-    # a batch, and one row as the benchmark's verify probes integrate;
-    # multiarray.py holds the dispatchers of C functions (np.empty_like)
+    # a batch, and one row as the benchmark's verify probes integrate
     ode = extract_ode(model)
     for Z0 in (np.full((3, model.dim), 0.1), np.full(model.dim, 0.1)):
         assert modules(lambda: integrate_reference(ode, Z0, 5)) <= {
-            "_ufunc_config", "multiarray"}, Z0.shape
+            "_ufunc_config"}, Z0.shape
 
 
 def _per_call(entries, grows=()):

@@ -516,12 +516,23 @@ def test_prediction_divergence_names_no_learning_rate():
     # trajectory overflowed and nothing more
     model = TmpnnModel.create(1, 1, order=3, steps=5, standardize=False)
     model.map.delta = model.map.delta + 1.0
-    with pytest.raises(DivergenceError) as err:
-        predict(model, np.array([[50.0]]))
-    message = str(err.value)
-    assert f"map application {err.value.step}" in message
-    assert "batch row 0" in message
-    assert "learning rate" not in message
+    # a scale of 0.03 takes 1e308 past float64: the scaling used to warn
+    # "overflow encountered in divide", and the error blamed the map
+    scaled = TmpnnModel.create(1, 1, order=3, steps=5)
+    scaled.scaler = Scaler(mean=[0.05], scale=[0.03])
+    start = "a standardized feature overflows float64 in the start state"
+    for call, fragment in (
+            (lambda: predict(model, np.array([[50.0]])),
+             "map application {step} (batch row 0)"),
+            (lambda: predict(scaled, np.array([[0.5], [1e308]])),
+             start + " (batch row 1)"),
+            (lambda: forward(scaled, [1e308]), start + " (batch row 0)")):
+        with pytest.raises(DivergenceError) as err:
+            call()
+        message = str(err.value)
+        assert fragment.format(step=err.value.step) in message
+        assert (err.value.step == 0) == (fragment.startswith(start))
+        assert "learning rate" not in message
 
 
 def test_non_finite_input_is_a_value_error_naming_row_and_column():
@@ -605,6 +616,8 @@ def test_a_non_finite_loss_is_a_skipped_step_that_warns_nothing():
 def test_scaler_rejects_non_finite_parameters():
     with pytest.raises(ValueError, match="scale"):
         Scaler(mean=[0.0], scale=[np.inf])
+    with pytest.raises(ValueError, match="^scale must hold positive numbers$"):
+        Scaler(mean=[0.0, 0.0], scale=[1.0, 0.0])
     with pytest.raises(ValueError, match="mean"):
         Scaler(mean=[np.nan], scale=[1.0])
 
@@ -692,6 +705,8 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         TmpnnModel(n_features=2, n_targets=1, n_latent=0, steps=2,
                    map=identity_weights(3, 2), init_state=np.zeros(2))
+    with pytest.raises(ValueError, match="single feature vector"):
+        forward(model, np.zeros((1, 2)))
 
 
 @pytest.mark.parametrize("early_stop,fragment", [

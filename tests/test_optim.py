@@ -75,3 +75,5 @@ def test_rejects_bad_gradients():
                     [np.array([1.0, np.nan])])
     with pytest.raises(ValueError):
         adamax_step(AdamaxState.init(params), params, [np.zeros(3)])
+    with pytest.raises(ValueError, match="equal lengths"):
+        adamax_step(AdamaxState.init(params), params, [np.zeros(2)] * 2)
